@@ -63,11 +63,6 @@ class UndirectedGraph:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}
 
 
-def graph_from_json(doc: Mapping) -> UndirectedGraph:
-    edges = frozenset(_canon(int(u), int(v)) for u, v in doc["edges"])
-    return UndirectedGraph(int(doc["n"]), edges)
-
-
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
     canon = set()
     for u, v in edges:

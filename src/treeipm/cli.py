@@ -3,8 +3,8 @@
 Subcommands: ``gen-flow`` writes a benchmark instance, ``solve`` runs the
 distributed solver (phase one kicks in automatically when needed),
 ``solve-central`` runs the dense reference, ``compare`` runs both and
-reports per-iteration step-size agreement, ``dump-tree`` prints the
-chordal structure.
+reports their step-size agreement, along the two trajectories and from
+the same iterates, ``dump-tree`` prints the chordal structure.
 
 Exit codes: 0 solved, 2 infeasible, 3 not converged or numerical failure,
 4 malformed input, 64 usage error.
@@ -128,42 +128,6 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _component_starts(
-    p: model.CoupledProblem, x0: np.ndarray | None, params: ipm.SolverParams
-) -> list[tuple[list[int], model.CoupledProblem, np.ndarray, ipm.PhaseOneInfo | None]]:
-    """Split into coupling components and find a strictly feasible start each."""
-    g = chordal.sparsity_graph(p.scopes(), p.n)
-    comps = chordal.connected_components(g)
-    out = []
-    for comp in comps:
-        comp_set = set(comp)
-        var_map = {v: t for t, v in enumerate(comp)}
-        subs = []
-        for sp in p.subproblems:
-            if sp.J[0] not in comp_set:
-                continue
-            subs.append(
-                model.Subproblem(
-                    tuple(var_map[v] for v in sp.J),
-                    model.QuadraticForm(sp.objective.P, sp.objective.q, sp.objective.r),
-                    list(sp.inequalities),
-                    sp.eq_A,
-                    sp.eq_b,
-                )
-            )
-        sub_p = model.CoupledProblem(len(comp), subs).validate()
-        start = None
-        info = None
-        if x0 is not None:
-            cand = x0[comp]
-            if sub_p.max_inequality(cand) < 0:
-                start = cand
-        if start is None:
-            start, info = ipm.phase_one(sub_p, params)
-        out.append((list(comp), sub_p, start, info))
-    return out
-
-
 def _phase_one_dict(info: ipm.PhaseOneInfo | None) -> dict | None:
     if info is None:
         return None
@@ -195,20 +159,30 @@ def cmd_gen_flow(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_solution(
+    p: model.CoupledProblem, out: Path, x: np.ndarray, converged: bool, reports: list
+) -> int:
+    solution = {
+        "x": x.tolist(),
+        "objective": p.objective_value(x),
+        "converged": converged,
+        "components": reports,
+    }
+    with open(out / "solution.json", "w") as fh:
+        json.dump(solution, fh, indent=2)
+    print(f"objective {solution['objective']:.12g} -> {out / 'solution.json'}")
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     p = _load(args.problem)
     params = _params(args)
     out = _outdir(args.out)
-    x0 = _load_x0(args.x0, p.n)
-    pieces = _component_starts(p, x0, params)
-    multi = len(pieces) > 1
-    x_full = np.zeros(p.n)
+    runs = ipm.solve_auto(p, params, _load_x0(args.x0, p.n))
+    multi = len(runs) > 1
     comp_reports = []
-    all_converged = True
-    for idx, (variables, sub_p, start, info) in enumerate(pieces):
-        result = ipm.solve(sub_p, params, start)
-        x_full[variables] = result.x
-        all_converged &= result.converged
+    for idx, run in enumerate(runs):
+        result = run.result
         suffix = f"_c{idx}" if multi else ""
         result.trace.to_csv(out / f"trace{suffix}.csv")
         with open(out / f"accounting{suffix}.json", "w") as fh:
@@ -216,13 +190,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         audit = netsim.audit_privacy(result.network)
         comp_reports.append(
             {
-                "variables": variables,
+                "variables": run.variables,
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "status": result.status,
                 "objective": result.objective,
                 "backtracks": result.total_backtracks,
-                "phase_one": _phase_one_dict(info),
+                "phase_one": _phase_one_dict(run.phase_one),
                 "privacy_ok": audit.ok,
                 "lam": {str(k): v.tolist() for k, v in sorted(result.lam.items())},
                 "v": {str(i): v.tolist() for i, v in sorted(result.v.items())},
@@ -239,16 +213,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 tree_path = tree_path.with_suffix(f".c{idx}.json")
             with open(tree_path, "w") as fh:
                 json.dump(tree_doc, fh, indent=2)
-    solution = {
-        "x": x_full.tolist(),
-        "objective": p.objective_value(x_full),
-        "converged": all_converged,
-        "components": comp_reports,
-    }
-    with open(out / "solution.json", "w") as fh:
-        json.dump(solution, fh, indent=2)
-    print(f"objective {solution['objective']:.12g} -> {out / 'solution.json'}")
-    return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
+    converged = all(run.result.converged for run in runs)
+    return _write_solution(p, out, ipm.merge_solution(p, runs), converged, comp_reports)
 
 
 def cmd_solve_central(args: argparse.Namespace) -> int:
@@ -256,20 +222,21 @@ def cmd_solve_central(args: argparse.Namespace) -> int:
     params = _params(args)
     out = _outdir(args.out)
     x0 = _load_x0(args.x0, p.n)
-    pieces = _component_starts(p, x0, params)
-    multi = len(pieces) > 1
+    comps = ipm.split_components(p)
+    multi = len(comps) > 1
     x_full = np.zeros(p.n)
     comp_reports = []
     all_converged = True
-    for idx, (variables, sub_p, start, info) in enumerate(pieces):
-        result = oracle.centralized_ipm(sub_p, params, start)
-        x_full[variables] = result.x
+    for idx, comp in enumerate(comps):
+        start, info = ipm.component_start(comp, x0, params)
+        result = oracle.centralized_ipm(comp.problem, params, start)
+        x_full[comp.variables] = result.x
         all_converged &= result.converged
         suffix = f"_c{idx}" if multi else ""
         result.trace.to_csv(out / f"trace{suffix}.csv")
         comp_reports.append(
             {
-                "variables": variables,
+                "variables": comp.variables,
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "status": result.status,
@@ -281,25 +248,17 @@ def cmd_solve_central(args: argparse.Namespace) -> int:
             f"component {idx}: {result.status} after {result.iterations} "
             f"iterations, objective {result.objective:.12g}"
         )
-    solution = {
-        "x": x_full.tolist(),
-        "objective": p.objective_value(x_full),
-        "converged": all_converged,
-        "components": comp_reports,
-    }
-    with open(out / "solution.json", "w") as fh:
-        json.dump(solution, fh, indent=2)
-    print(f"objective {solution['objective']:.12g} -> {out / 'solution.json'}")
-    return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
+    return _write_solution(p, out, x_full, all_converged, comp_reports)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     p = _load(args.problem)
     params = _params(args)
-    pieces = _component_starts(p, None, params)
     reports = []
     ok = True
-    for idx, (variables, sub_p, start, _) in enumerate(pieces):
+    for idx, comp in enumerate(ipm.split_components(p)):
+        sub_p = comp.problem
+        start, _ = ipm.component_start(comp, None, params)
         dist = ipm.solve(sub_p, params, start, record_log=False)
         cent = oracle.centralized_ipm(sub_p, params, start)
         iters = min(dist.iterations, cent.iterations)
@@ -310,22 +269,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
             ),
             default=0.0,
         )
+        # the free-running gap mostly measures how far the trajectories
+        # amplify rounding; steps from the same iterate compare the solvers
+        steps = oracle.same_iterate_steps(
+            sub_p, params, start, dist.iterations, dist.setup.tree
+        )
+        same_gap = max((abs(a - b) for a, b in steps), default=0.0)
         x_gap = float(np.max(np.abs(dist.x - cent.x))) if dist.x.size else 0.0
         same_iters = dist.iterations == cent.iterations
         ok &= dist.converged and cent.converged
         reports.append(
             {
-                "variables": variables,
+                "variables": comp.variables,
                 "distributed_iterations": dist.iterations,
                 "centralized_iterations": cent.iterations,
                 "max_alpha_gap": alpha_gap,
+                "max_alpha_gap_same_iterate": same_gap,
                 "max_x_gap": x_gap,
                 "objective_gap": abs(dist.objective - cent.objective),
             }
         )
         print(
             f"component {idx}: iterations {dist.iterations}/{cent.iterations} "
-            f"(distributed/centralized), max step gap {alpha_gap:.3e}, "
+            f"(distributed/centralized), max step gap {alpha_gap:.3e} "
+            f"({same_gap:.3e} from the same iterate), "
             f"max solution gap {x_gap:.3e}"
         )
         if not same_iters:
@@ -340,20 +307,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_dump_tree(args: argparse.Namespace) -> int:
     p = _load(args.problem)
-    g = chordal.sparsity_graph(p.scopes(), p.n)
-    comps = chordal.connected_components(g)
     docs = []
-    for comp in comps:
-        var_map = {v: t for t, v in enumerate(comp)}
-        scopes = [
-            tuple(var_map[v] for v in sp.J)
-            for sp in p.subproblems
-            if sp.J[0] in set(comp)
-        ]
-        graph, _, tree = chordal.clique_tree_for(scopes, len(comp))
+    for comp in ipm.split_components(p):
+        graph, _, tree = chordal.clique_tree_for(
+            comp.problem.scopes(), comp.problem.n
+        )
         docs.append(
             {
-                "variables": list(comp),
+                "variables": comp.variables,
                 "graph": graph.to_json_dict(),
                 "tree": tree.to_json_dict(),
             }

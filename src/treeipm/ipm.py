@@ -32,6 +32,7 @@ separators.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -200,32 +201,11 @@ class SolverSetup:
 
 @dataclass
 class IterateState:
-    """Per-clique iterate slices plus the barrier parameter."""
+    """Per-clique ``x`` and ``v`` slices and per-subproblem ``lam``."""
 
     x: dict[int, np.ndarray]
     v: dict[int, np.ndarray]
     lam: dict[int, np.ndarray]
-    t: float
-
-
-@dataclass
-class Directions:
-    dx: dict[int, np.ndarray]
-    dv: dict[int, np.ndarray]
-    dlam: dict[int, np.ndarray]
-    records: dict[int, treeqp.EliminationRecord]
-    data: dict[int, treeqp.CliqueQpData]
-
-
-@dataclass
-class StepSizeResult:
-    alpha: float
-    backtracks: int
-    p_old_sq: float
-    d_old_sq: float
-    p_new_sq: float
-    d_new_sq: float
-    eta_hat: float
 
 
 def _build_locals(
@@ -265,17 +245,60 @@ def _build_locals(
 def prepare(
     p: CoupledProblem,
     tree: chordal.CliqueTree | None = None,
-    assignment: Assignment | None = None,
+    net: netsim.Network | None = None,
 ) -> SolverSetup:
-    """Build tree, assignment and preprocessed equality blocks (pure path)."""
+    """Tree, agent assignment and the reduced equality blocks.
+
+    The blocks come from the ``eq-constraint-push`` pass, run on ``net``
+    (by default a fresh network without a run log): each agent stacks its
+    rows with those its children pushed up, keeps the rows it can pin
+    down over its eliminated variables and pushes the rest to its parent
+    over the separator.  The feasible set of the stacked system is
+    preserved; an inconsistent system raises at the root.
+    """
     p.validate()
     if tree is None:
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
-    if assignment is None:
-        assignment = model.preprocess_equalities(p, tree, model.assign(p, tree))
-    return SolverSetup(
-        p, tree, assignment, _build_locals(p, tree, assignment), p.m_total, p.n
-    )
+    if net is None:
+        net = netsim.Network(tree, record_log=False)
+    raw = model.assign(p, tree)
+    for i in range(tree.q):
+        env = net.agents[i]
+        par = tree.parent[i]
+        env.put("eq_raw", raw.local_eq[i])
+        env.put("sep", tree.separator(i, par) if par is not None else ())
+
+    def pre_up(env: netsim.AgentEnv, inbox):
+        A, b = env.get("eq_raw")
+        clique = env.clique
+        blocks_A = [A]
+        blocks_b = [b]
+        for e in inbox:
+            child_sep = e.payload["sep"]
+            block = np.zeros((e.payload["A"].shape[0], len(clique)))
+            block[:, positions(child_sep, clique)] = e.payload["A"]
+            blocks_A.append(block)
+            blocks_b.append(e.payload["b"])
+        A = np.vstack(blocks_A)
+        b = np.concatenate(blocks_b)
+        sep = env.get("sep")
+        sep_set = set(sep)
+        elim_pos = np.array(
+            [t for t, vv in enumerate(clique) if vv not in sep_set], dtype=int
+        )
+        keep_pos = positions(sep, clique)
+        kept_A, kept_b, push_A, push_b = model.reduce_equality_block(
+            A, b, elim_pos, keep_pos, is_root=env.parent is None
+        )
+        env.put("eq", (kept_A, kept_b))
+        if env.parent is None:
+            return None
+        return {"A": push_A, "b": push_b, "sep": sep}
+
+    net.run_up("eq-constraint-push", pre_up)
+    local_eq = {i: net.agents[i].get("eq") for i in range(tree.q)}
+    a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
+    return SolverSetup(p, tree, a, _build_locals(p, tree, a), p.m_total, p.n)
 
 
 def initial_state(
@@ -309,22 +332,7 @@ def initial_state(
         if vec.shape != (rows,):
             raise ProblemFormatError(f"v0[{i}] must have shape ({rows},)")
         v[i] = vec.copy()
-    # the pure path's Newton direction centers on the current gap: sigma = 1
-    eta0 = surrogate_gap(setup, x, lam)
-    return IterateState(x, v, lam, _next_t(eta0, eta0, setup.m_total))
-
-
-def surrogate_gap(
-    setup: SolverSetup, x: Mapping[int, np.ndarray], lam: Mapping[int, np.ndarray]
-) -> float:
-    """``-sum_k lam_k' g_k(x)``, aggregated in child-index order."""
-    total = 0.0
-    for i in setup.tree.post_order():
-        loc = setup.locals[i]
-        for k, sp, pos in loc.subs:
-            g = np.array([c.value(x[i][pos]) for c in sp.inequalities])
-            total += float(-(lam[k] @ g))
-    return total
+    return IterateState(x, v, lam)
 
 
 def _step_scale(m_total: int) -> float:
@@ -354,12 +362,11 @@ def _clique_qp(
     x: np.ndarray,
     v: np.ndarray,
     lam: Mapping[int, np.ndarray],
-    t: float,
 ) -> tuple[treeqp.CliqueQpData, dict[int, model.SubproblemEval]]:
+    """One clique's barrier KKT piece for the affine (uncentered) step."""
     d = len(loc.clique)
     H = np.zeros((d, d))
     r = np.zeros(d)
-    inv_t = 0.0 if math.isinf(t) else 1.0 / t
     evals: dict[int, model.SubproblemEval] = {}
     for k, sp, pos in loc.subs:
         ev = eval_subproblem(sp, x[pos])
@@ -376,7 +383,7 @@ def _clique_qp(
                 Hk = Hk + lj * Qj
         if ev.g.size:
             Hk = Hk - ev.jac.T @ (ev.jac * (lk / ev.g)[:, None])
-            r_cent = -lk * ev.g - inv_t
+            r_cent = -lk * ev.g
             rk = ev.grad + ev.jac.T @ lk + ev.jac.T @ (r_cent / ev.g)
         else:
             rk = ev.grad
@@ -394,7 +401,7 @@ def _clique_dlam(
     lam: Mapping[int, np.ndarray],
     dx: np.ndarray,
     t: float,
-    soc: Mapping[int, np.ndarray] | None = None,
+    soc: Mapping[int, np.ndarray],
 ) -> dict[int, np.ndarray]:
     """Multiplier direction; ``soc`` is the corrector's second-order term."""
     inv_t = 0.0 if math.isinf(t) else 1.0 / t
@@ -405,9 +412,7 @@ def _clique_dlam(
             out[k] = np.zeros(0)
             continue
         lk = lam[k]
-        r_cent = -lk * ev.g - inv_t
-        if soc is not None:
-            r_cent = r_cent - soc[k]
+        r_cent = -lk * ev.g - inv_t - soc[k]
         out[k] = (r_cent - lk * (ev.jac @ dx[pos])) / ev.g
     return out
 
@@ -582,105 +587,6 @@ def _accept_test(
     return cand["p"] <= floor and cand["d"] <= floor
 
 
-# ------------------ pure operation variants ------------------
-
-
-def local_qp_data(
-    setup: SolverSetup, state: IterateState, i: int
-) -> treeqp.CliqueQpData:
-    """One clique's barrier KKT piece at the current iterate."""
-    loc = setup.locals[i]
-    data, _ = _clique_qp(loc, state.x[i], state.v[i], state.lam, state.t)
-    return data
-
-
-def compute_directions(setup: SolverSetup, state: IterateState) -> Directions:
-    """Newton direction for all cliques via one up/down sweep (pure path)."""
-    data: dict[int, treeqp.CliqueQpData] = {}
-    evals: dict[int, dict[int, model.SubproblemEval]] = {}
-    for i in setup.tree.post_order():
-        loc = setup.locals[i]
-        data[i], evals[i] = _clique_qp(loc, state.x[i], state.v[i], state.lam, state.t)
-    _, records = treeqp.upward_pass(setup.tree, data)
-    sols = treeqp.downward_pass(setup.tree, records)
-    dx = {i: sols[i][0] for i in sols}
-    dv = {i: sols[i][1] for i in sols}
-    dlam: dict[int, np.ndarray] = {}
-    for i in setup.tree.post_order():
-        dlam.update(
-            _clique_dlam(setup.locals[i], evals[i], state.lam, dx[i], state.t)
-        )
-    return Directions(dx, dv, dlam, records, data)
-
-
-def distributed_step_size(
-    setup: SolverSetup,
-    state: IterateState,
-    dirs: Directions,
-    params: SolverParams,
-) -> StepSizeResult:
-    """Two-stage line search over the tree (pure path).
-
-    Stage one aggregates the multiplier step bound and current residual
-    norms to the root; stage two repeatedly evaluates a broadcast
-    candidate step until interiority holds and the combined residual norm
-    drops by the expected factor.
-    """
-    tree = setup.tree
-    order = tree.post_order()
-    scale = _step_scale(setup.m_total)
-    evals = {
-        i: {
-            k: eval_subproblem(sp, state.x[i][pos])
-            for k, sp, pos in setup.locals[i].subs
-        }
-        for i in order
-    }
-    stage1: dict[int, dict] = {}
-    for i in order:
-        children = [(c, stage1[c]) for c in tree.children[i]]
-        stage1[i] = _stage1_local(
-            setup.locals[i],
-            evals[i],
-            state.x[i],
-            state.v[i],
-            state.lam,
-            dirs.dlam,
-            children,
-            scale,
-        )
-    root_pl = stage1[tree.root]
-    alpha = root_pl["alpha"]
-    p_old_sq, d_old_sq = root_pl["p"], root_pl["d"]
-    backtracks = 0
-    while True:
-        cand: dict[int, dict] = {}
-        for i in order:
-            children = [(c, cand[c]) for c in tree.children[i]]
-            cand[i] = _candidate_local(
-                setup.locals[i],
-                state.x[i],
-                state.v[i],
-                state.lam,
-                dirs.dx[i],
-                dirs.dv[i],
-                dirs.dlam,
-                alpha,
-                children,
-            )
-        top = cand[tree.root]
-        if _accept_test(top, alpha, p_old_sq, d_old_sq, params):
-            return StepSizeResult(
-                alpha, backtracks, p_old_sq, d_old_sq, top["p"], top["d"], top["eta"]
-            )
-        alpha *= params.beta
-        backtracks += 1
-        if alpha < ALPHA_STALL:
-            raise LineSearchStallError(
-                f"line search stalled (alpha {alpha:.3e})"
-            )
-
-
 # ------------------ the simulator-driven solver ------------------
 
 
@@ -711,48 +617,6 @@ class SolveResult:
             if sep:
                 worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
-
-
-def _preprocess_pass(
-    net: netsim.Network, p: CoupledProblem, tree: chordal.CliqueTree
-) -> Assignment:
-    raw = model.assign(p, tree)
-    for i in range(tree.q):
-        env = net.agents[i]
-        par = tree.parent[i]
-        env.put("eq_raw", raw.local_eq[i])
-        env.put("sep", tree.separator(i, par) if par is not None else ())
-
-    def pre_up(env: netsim.AgentEnv, inbox):
-        A, b = env.get("eq_raw")
-        clique = env.clique
-        blocks_A = [A]
-        blocks_b = [b]
-        for e in inbox:
-            child_sep = e.payload["sep"]
-            block = np.zeros((e.payload["A"].shape[0], len(clique)))
-            block[:, positions(child_sep, clique)] = e.payload["A"]
-            blocks_A.append(block)
-            blocks_b.append(e.payload["b"])
-        A = np.vstack(blocks_A)
-        b = np.concatenate(blocks_b)
-        sep = env.get("sep")
-        sep_set = set(sep)
-        elim_pos = np.array(
-            [t for t, vv in enumerate(clique) if vv not in sep_set], dtype=int
-        )
-        keep_pos = positions(sep, clique)
-        kept_A, kept_b, push_A, push_b = model.reduce_equality_block(
-            A, b, elim_pos, keep_pos, is_root=env.parent is None
-        )
-        env.put("eq", (kept_A, kept_b))
-        if env.parent is None:
-            return None
-        return {"A": push_A, "b": push_b, "sep": sep}
-
-    net.run_up("eq-constraint-push", pre_up)
-    local_eq = {i: net.agents[i].get("eq") for i in range(tree.q)}
-    return Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
 
 
 def solve(
@@ -789,10 +653,7 @@ def solve(
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
 
     net = netsim.Network(tree, record_log=record_log)
-    assignment = _preprocess_pass(net, p, tree)
-    setup = SolverSetup(
-        p, tree, assignment, _build_locals(p, tree, assignment), p.m_total, p.n
-    )
+    setup = prepare(p, tree, net)
     state = initial_state(setup, x0, lam0, v0)
     root = tree.root
     scale = _step_scale(setup.m_total)
@@ -806,11 +667,11 @@ def solve(
             env.put("watch", [t for t in loc.elim_pos if loc.clique[t] in watched])
         env.put("x", state.x[i])
         env.put("v", state.v[i])
-        env.put("lam", {k: state.lam[k] for k in assignment.phi[i]})
+        env.put("lam", {k: state.lam[k] for k in setup.assignment.phi[i]})
 
     def dir_up(env, inbox):
         loc = env.get("loc")
-        data, evals = _clique_qp(loc, env.get("x"), env.get("v"), env.get("lam"), math.inf)
+        data, evals = _clique_qp(loc, env.get("x"), env.get("v"), env.get("lam"))
         env.put("evals", evals)
         msg, rec = treeqp.eliminate(
             data, [e.payload for e in inbox], loc.sep, clique_index=env.id
@@ -1119,6 +980,42 @@ class ComponentRun:
     result: SolveResult
 
 
+@dataclass
+class Component:
+    """A coupling component renumbered as a problem of its own."""
+
+    variables: list[int]
+    subproblems: list[int]
+    problem: CoupledProblem
+
+
+def split_components(p: CoupledProblem) -> list[Component]:
+    """Split ``p`` into the connected components of its sparsity graph."""
+    p.validate()
+    g = chordal.sparsity_graph(p.scopes(), p.n)
+    out: list[Component] = []
+    for comp in chordal.connected_components(g):
+        var_map = {v: t for t, v in enumerate(comp)}
+        sub_ids = [k for k, sp in enumerate(p.subproblems) if sp.J[0] in var_map]
+        subs = [copy.deepcopy(p.subproblems[k]) for k in sub_ids]
+        for sp in subs:
+            sp.J = tuple(var_map[v] for v in sp.J)
+        sub_p = CoupledProblem(len(comp), subs).validate()
+        out.append(Component(list(comp), sub_ids, sub_p))
+    return out
+
+
+def component_start(
+    comp: Component, x0: np.ndarray | None, params: SolverParams
+) -> tuple[np.ndarray, PhaseOneInfo | None]:
+    """The component's slice of ``x0`` where strictly feasible, else phase one's."""
+    if x0 is not None:
+        start = np.asarray(x0, dtype=float)[comp.variables]
+        if comp.problem.max_inequality(start) < 0:
+            return start, None
+    return phase_one(comp.problem, params)
+
+
 def solve_auto(
     p: CoupledProblem,
     params: SolverParams | None = None,
@@ -1131,44 +1028,11 @@ def solve_auto(
     supplies the start for that component.
     """
     params = params or SolverParams()
-    p.validate()
-    g = chordal.sparsity_graph(p.scopes(), p.n)
-    comps = chordal.connected_components(g)
     runs: list[ComponentRun] = []
-    for comp in comps:
-        comp_set = set(comp)
-        var_map = {v: t for t, v in enumerate(comp)}
-        sub_ids = [k for k, sp in enumerate(p.subproblems) if sp.J[0] in comp_set]
-        sub_list = []
-        for k in sub_ids:
-            sp = p.subproblems[k]
-            sub_list.append(
-                Subproblem(
-                    tuple(var_map[v] for v in sp.J),
-                    model.QuadraticForm(
-                        sp.objective.P.copy(), sp.objective.q.copy(), sp.objective.r
-                    ),
-                    [
-                        model.Constraint(
-                            c.kind, c.a.copy(), c.b, Q=None if c.Q is None else c.Q.copy()
-                        )
-                        for c in sp.inequalities
-                    ],
-                    sp.eq_A.copy(),
-                    sp.eq_b.copy(),
-                )
-            )
-        sub_p = CoupledProblem(len(comp), sub_list).validate()
-        info: PhaseOneInfo | None = None
-        start: np.ndarray | None = None
-        if x0 is not None:
-            cand = np.asarray(x0, dtype=float)[comp]
-            if sub_p.max_inequality(cand) < 0:
-                start = cand
-        if start is None:
-            start, info = phase_one(sub_p, params)
-        result = solve(sub_p, params, start, record_log=record_log)
-        runs.append(ComponentRun(list(comp), sub_ids, info, result))
+    for comp in split_components(p):
+        start, info = component_start(comp, x0, params)
+        result = solve(comp.problem, params, start, record_log=record_log)
+        runs.append(ComponentRun(comp.variables, comp.subproblems, info, result))
     return runs
 
 

@@ -397,50 +397,6 @@ def reduce_equality_block(
     return kept_A, kept_b, push_A, push_b
 
 
-def preprocess_equalities(
-    p: CoupledProblem, tree: CliqueTree, a: Assignment
-) -> Assignment:
-    """Upward sweep turning every clique's equality block full row rank.
-
-    Rows a clique cannot pin down locally migrate to its parent over the
-    separator columns.  The feasible set of the stacked system is
-    preserved; an inconsistent system raises at the root.
-    """
-    pushes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
-        i: [] for i in range(tree.q)
-    }
-    new_eq: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in tree.post_order():
-        clique = tree.cliques[i]
-        A, b = a.local_eq[i]
-        blocks_A = [A]
-        blocks_b = [b]
-        for child_A, child_b in pushes[i]:
-            blocks_A.append(child_A)
-            blocks_b.append(child_b)
-        A = np.vstack(blocks_A)
-        b = np.concatenate(blocks_b)
-        par = tree.parent[i]
-        if par is None:
-            sep: IndexSet = ()
-        else:
-            sep = tuple(sorted(set(clique) & set(tree.cliques[par])))
-        sep_set = set(sep)
-        elim_pos = np.array(
-            [t for t, v in enumerate(clique) if v not in sep_set], dtype=int
-        )
-        keep_pos = positions(sep, clique)
-        kept_A, kept_b, push_A, push_b = reduce_equality_block(
-            A, b, elim_pos, keep_pos, is_root=par is None
-        )
-        new_eq[i] = (kept_A, kept_b)
-        if par is not None and push_b.size:
-            block = np.zeros((push_A.shape[0], len(tree.cliques[par])))
-            block[:, positions(sep, tree.cliques[par])] = push_A
-            pushes[par].append((block, push_b))
-    return Assignment({i: list(m) for i, m in a.phi.items()}, new_eq)
-
-
 # ------------------ flow benchmark ------------------
 
 

@@ -9,12 +9,12 @@ symmetric-indefinite solves used per clique).  Tests compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from treeipm import chordal, model, treeqp
+from treeipm import chordal, ipm, treeqp
 from treeipm.errors import (
     EliminationError,
     LineSearchStallError,
@@ -215,6 +215,54 @@ def surrogate_gap(
     return total
 
 
+Direction = tuple[np.ndarray, dict[int, np.ndarray], dict[int, np.ndarray]]
+
+
+def mehrotra_direction(
+    p: CoupledProblem,
+    a: Assignment,
+    tree: chordal.CliqueTree,
+    x: np.ndarray,
+    lam: Mapping[int, np.ndarray],
+    v: Mapping[int, np.ndarray],
+    use_lstsq: bool = False,
+) -> tuple[Direction, Direction, float, float]:
+    """Mehrotra's affine and corrected directions from one point.
+
+    Returns both ``(dx, dv, dlam)`` triples, the barrier weight ``t`` the
+    corrector is built with and the surrogate gap ``eta_aff`` after the
+    affine step that set it.
+    """
+    aff = newton_direction(p, a, tree, x, lam, v, math.inf, use_lstsq=use_lstsq)
+    dx, _, dlam = aff
+    # affine step to the boundary of lam >= 0 and g <= 0, where
+    # g(x + a dx) = g + a J dx + a^2 dx'Q dx / 2 along the direction
+    alpha_aff = 1.0
+    soc = {}
+    for k, sp in enumerate(p.subproblems):
+        cols = list(sp.J)
+        ev = eval_subproblem(sp, x[cols])
+        if not ev.g.size:
+            soc[k] = np.zeros(0)
+            continue
+        jdx = ev.jac @ dx[cols]
+        curv = np.array([0.5 * dx[cols] @ Q @ dx[cols] for Q in ev.con_hess])
+        for j, lj in enumerate(lam[k]):
+            if dlam[k][j] < 0:
+                alpha_aff = min(alpha_aff, -lj / dlam[k][j])
+            disc = jdx[j] ** 2 - 4.0 * curv[j] * ev.g[j]
+            if jdx[j] + math.sqrt(disc) > 0:
+                alpha_aff = min(
+                    alpha_aff, -2.0 * ev.g[j] / (jdx[j] + math.sqrt(disc))
+                )
+        soc[k] = dlam[k] * jdx
+    lam_aff = {k: lam[k] + alpha_aff * dlam[k] for k in lam}
+    eta_aff = surrogate_gap(p, x + alpha_aff * dx, lam_aff)
+    t = _next_t(surrogate_gap(p, x, lam), eta_aff, p.m_total)
+    corr = newton_direction(p, a, tree, x, lam, v, t, use_lstsq=use_lstsq, soc=soc)
+    return aff, corr, t, eta_aff
+
+
 @dataclass
 class CentralizedResult:
     x: np.ndarray
@@ -244,8 +292,8 @@ def centralized_ipm(
     step, same two-stage line search) but computes everything from dense
     global matrices: each iteration makes one dense solve for the affine
     direction and one for the corrected direction.  With ``assignment``
-    given, runs on those equality blocks as-is; by default blocks are
-    preprocessed exactly as the distributed solver does.
+    given, runs on those equality blocks as-is; by default it takes the
+    blocks the distributed solver reduces, from :func:`ipm.prepare`.
     """
     params = params or SolverParams()
     p.validate()
@@ -260,7 +308,7 @@ def centralized_ipm(
     if tree is None:
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     if assignment is None:
-        assignment = model.preprocess_equalities(p, tree, model.assign(p, tree))
+        assignment = ipm.prepare(p, tree).assignment
 
     lam: dict[int, np.ndarray] = {}
     for k, sp in enumerate(p.subproblems):
@@ -285,35 +333,8 @@ def centralized_ipm(
     iterations = 0
     for it in range(1, params.max_iters + 1):
         iterations = it
-        dx, _, dlam = newton_direction(
-            p, assignment, tree, x, lam, v, math.inf, use_lstsq=use_lstsq
-        )
-        # affine step to the boundary of lam >= 0 and g <= 0, where
-        # g(x + a dx) = g + a J dx + a^2 dx'Q dx / 2 along the direction
-        alpha_aff = 1.0
-        soc = {}
-        for k, sp in enumerate(p.subproblems):
-            cols = list(sp.J)
-            ev = eval_subproblem(sp, x[cols])
-            if not ev.g.size:
-                soc[k] = np.zeros(0)
-                continue
-            jdx = ev.jac @ dx[cols]
-            curv = np.array([0.5 * dx[cols] @ Q @ dx[cols] for Q in ev.con_hess])
-            for j, lj in enumerate(lam[k]):
-                if dlam[k][j] < 0:
-                    alpha_aff = min(alpha_aff, -lj / dlam[k][j])
-                disc = jdx[j] ** 2 - 4.0 * curv[j] * ev.g[j]
-                if jdx[j] + math.sqrt(disc) > 0:
-                    alpha_aff = min(
-                        alpha_aff, -2.0 * ev.g[j] / (jdx[j] + math.sqrt(disc))
-                    )
-            soc[k] = dlam[k] * jdx
-        lam_aff = {k: lam[k] + alpha_aff * dlam[k] for k in lam}
-        eta_aff = surrogate_gap(p, x + alpha_aff * dx, lam_aff)
-        t = _next_t(surrogate_gap(p, x, lam), eta_aff, m_total)
-        dx, dv, dlam = newton_direction(
-            p, assignment, tree, x, lam, v, t, use_lstsq=use_lstsq, soc=soc
+        _, (dx, dv, dlam), t, eta_aff = mehrotra_direction(
+            p, assignment, tree, x, lam, v, use_lstsq=use_lstsq
         )
         amax = 1.0
         for k, sp in enumerate(p.subproblems):
@@ -380,6 +401,33 @@ def centralized_ipm(
         total_backtracks=total_backtracks,
         trace=trace,
     )
+
+
+def same_iterate_steps(
+    p: CoupledProblem,
+    params: SolverParams,
+    x0: np.ndarray,
+    iterations: int,
+    tree: chordal.CliqueTree,
+) -> list[tuple[float, float]]:
+    """Distributed and centralized step sizes taken from the same iterates.
+
+    Replays a distributed solve from ``x0`` one iteration at a time, each
+    one-iteration solve starting from the ``(x, lam, v)`` the last one
+    returned: the iteration carries no other state, so the replay retraces
+    the free-running trajectory exactly.  From every iterate the
+    centralized loop takes one step too.  Returns one ``(distributed,
+    centralized)`` pair of step sizes per iteration.
+    """
+    one = replace(params, max_iters=1)
+    x, lam, v = x0, None, None
+    out = []
+    for _ in range(iterations):
+        step = ipm.solve(p, one, x, lam, v, tree=tree, record_log=False)
+        ref = centralized_ipm(p, one, x, lam, v, tree=tree)
+        out.append((step.trace.rows[0].alpha, ref.trace.rows[0].alpha))
+        x, lam, v = step.x, step.lam, step.v
+    return out
 
 
 def parametric_min_oracle(

@@ -138,6 +138,41 @@ def interior_duals(
     return lam, v
 
 
+def agent_directions(res):
+    """Affine and corrected directions the agents took in a solve's last iteration.
+
+    Read from each agent's store as ``(dx, dv, dlam)`` with ``dx`` and
+    ``dv`` per clique and ``dlam`` per subproblem; agents keep no affine
+    multiplier direction, so the affine ``dlam`` is empty.
+    """
+    envs = res.network.agents.values()
+    aff = (
+        {env.id: env.get("aff")[0] for env in envs},
+        {env.id: env.get("aff")[1] for env in envs},
+        {},
+    )
+    corr = (
+        {env.id: env.get("dx") for env in envs},
+        {env.id: env.get("dv") for env in envs},
+        {k: d for env in envs for k, d in env.get("dlam").items()},
+    )
+    return aff, corr
+
+
+def direction_gap(tree: chordal.CliqueTree, got, ref) -> float:
+    """Largest entry gap of per-agent directions to a dense ``(dx, dv, dlam)``.
+
+    Every clique's copy of ``dx`` is compared; the gap is relative to
+    ``1 + max |dx|`` of the reference.
+    """
+    dx, dv, dlam = got
+    dx_ref, dv_ref, dlam_ref = ref
+    gaps = [np.abs(dx[i] - dx_ref[list(tree.cliques[i])]).max() for i in dx]
+    gaps += [np.abs(dv[i] - dv_ref[i]).max() for i in dv if dv[i].size]
+    gaps += [np.abs(dlam[k] - dlam_ref[k]).max() for k in dlam if dlam[k].size]
+    return max(gaps) / (1.0 + np.abs(dx_ref).max())
+
+
 # ---------------- random tree-structured QP data ----------------
 
 

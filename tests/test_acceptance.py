@@ -8,20 +8,22 @@ independent oracles reuse the generators from conftest.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import conftest
-from conftest import interior_duals, make_rooted_tree, random_loose_qp, random_tree_qp
+from conftest import (
+    agent_directions,
+    direction_gap,
+    interior_duals,
+    make_rooted_tree,
+    random_loose_qp,
+    random_tree_qp,
+)
 from treeipm import chordal, ipm, model, netsim, oracle, treeqp
 from treeipm.errors import TreeIpmError
-
-warnings.filterwarnings("ignore", category=scipy.linalg.LinAlgWarning)
 
 TWO_CHAIN = [-1, 0, 0, 1, 2, 3, 4]
 
@@ -54,36 +56,28 @@ def flow_suite():
 
 def test_criterion_1_directions_match_dense_newton():
     rng = np.random.default_rng(1)
+    one = ipm.SolverParams(max_iters=1)
     t0 = time.perf_counter()
-    worst = 0.0
+    worst_aff = worst_corr = 0.0
     for _ in range(100):
         p, x0 = random_loose_qp(rng)
         setup = ipm.prepare(p)
         lam, v = interior_duals(rng, p, setup.assignment)
-        state = ipm.initial_state(setup, x0, lam0=lam, v0=v)
-        dirs = ipm.compute_directions(setup, state)
-        dx_ref, dv_ref, dlam_ref = oracle.newton_direction(
-            p, setup.assignment, setup.tree, x0, lam, v, state.t
+        res = ipm.solve(p, one, x0, lam, v, tree=setup.tree, record_log=False)
+        aff, corr = agent_directions(res)
+        aff_ref, corr_ref, _, _ = oracle.mehrotra_direction(
+            p, setup.assignment, setup.tree, x0, lam, v
         )
-        denom = 1.0 + np.abs(dx_ref).max()
-        dx = np.empty(setup.n)
-        for i in range(setup.tree.q):
-            dx[list(setup.tree.cliques[i])] = dirs.dx[i]
-        gap = np.abs(dx - dx_ref).max()
-        for i in range(setup.tree.q):
-            if dirs.dv[i].size:
-                gap = max(gap, np.abs(dirs.dv[i] - dv_ref[i]).max())
-        for k in range(len(p.subproblems)):
-            if dirs.dlam[k].size:
-                gap = max(gap, np.abs(dirs.dlam[k] - dlam_ref[k]).max())
-        worst = max(worst, gap / denom)
+        worst_aff = max(worst_aff, direction_gap(setup.tree, aff, aff_ref))
+        worst_corr = max(worst_corr, direction_gap(setup.tree, corr, corr_ref))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed <= 10.0
+    ok = worst_aff <= 1e-8 and worst_corr <= 1e-8 and elapsed <= 10.0
     record(
         1,
         ok,
-        f"100 random coupled QPs: max relative direction gap vs dense Newton "
-        f"{worst:.2e} (tol 1e-8) in {elapsed:.1f}s (budget 10s)",
+        f"100 random coupled QPs: max relative gap of the agents' directions "
+        f"vs dense Newton {worst_aff:.2e} affine, {worst_corr:.2e} corrected "
+        f"(tol 1e-8) in {elapsed:.1f}s (budget 10s)",
     )
 
 
@@ -264,8 +258,7 @@ def test_criterion_8_redundant_equalities_are_reduced_and_solved():
         instances += 1
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
         raw = model.assign(p, tree)
-        a2 = model.preprocess_equalities(p, tree, raw)
-        for i, (A, _) in a2.local_eq.items():
+        for i, (A, _) in ipm.prepare(p, tree).assignment.local_eq.items():
             if A.shape[0] == 0:
                 continue
             par = tree.parent[i]
@@ -310,12 +303,10 @@ def test_criterion_9_step_sizes_agree_per_iteration(flow_suite):
 
     The free-running trajectories of both solvers are compared step by
     step.  Each distributed step is also compared with the centralized
-    step from the same iterate: the iteration carries no state but
-    ``(x, lam, v)``, so one-iteration solves chained from each other
-    replay the distributed trajectory exactly.
+    step from the same iterate, replayed by ``oracle.same_iterate_steps``;
+    the replay must retrace the distributed trajectory exactly.
     """
     runs, _, params = flow_suite
-    one = dataclasses.replace(params, max_iters=1)
     worst = 0.0
     same_iterate = 0.0
     steps = 0
@@ -326,16 +317,14 @@ def test_criterion_9_step_sizes_agree_per_iteration(flow_suite):
             count_mismatches += 1
         for a, b in zip(dist.trace.rows, cent.trace.rows):
             worst = max(worst, abs(a.alpha - b.alpha))
-        tree = dist.setup.tree
-        x, lam, v = model.gen_flow(TWO_CHAIN, seed=seed)[1], None, None
-        for row in dist.trace.rows:
-            step = ipm.solve(p, one, x, lam, v, tree=tree, record_log=False)
-            ref = oracle.centralized_ipm(p, one, x, lam, v, tree=tree)
-            alpha = step.trace.rows[0].alpha
+        x0 = model.gen_flow(TWO_CHAIN, seed=seed)[1]
+        pairs = oracle.same_iterate_steps(
+            p, params, x0, dist.iterations, dist.setup.tree
+        )
+        for row, (alpha, ref) in zip(dist.trace.rows, pairs):
             replay_mismatches += alpha != row.alpha
-            same_iterate = max(same_iterate, abs(alpha - ref.trace.rows[0].alpha))
+            same_iterate = max(same_iterate, abs(alpha - ref))
             steps += 1
-            x, lam, v = step.x, step.lam, step.v
     ok = (
         count_mismatches == 0
         and worst <= 1e-12

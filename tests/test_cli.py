@@ -125,6 +125,8 @@ def test_compare_reports_step_agreement(tmp_path, flow_files):
     # weight; step sizes may differ in the last digits while the final
     # iterates still agree to machine precision
     assert comp["max_alpha_gap"] <= 1e-6
+    # from the same iterate the two solvers take the same step
+    assert comp["max_alpha_gap_same_iterate"] <= 1e-12
     assert comp["max_x_gap"] <= 1e-8
 
 

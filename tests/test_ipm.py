@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
-import scipy.linalg
 
-from treeipm import chordal, ipm, model, oracle
+from treeipm import ipm, model, oracle
 from treeipm.errors import (
     InfeasibleProblemError,
     LineSearchStallError,
@@ -16,9 +13,7 @@ from treeipm.errors import (
     ProblemFormatError,
 )
 
-from conftest import interior_duals, random_loose_qp
-
-warnings.filterwarnings("ignore", category=scipy.linalg.LinAlgWarning)
+from conftest import agent_directions, direction_gap, interior_duals, random_loose_qp
 
 
 # ---------------- parameters and trace plumbing ----------------
@@ -69,7 +64,7 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
 # ---------------- state construction ----------------
 
 
-def test_initial_state_shapes_and_barrier(rng):
+def test_initial_state_shapes(rng):
     p, x0 = random_loose_qp(rng)
     setup = ipm.prepare(p)
     state = ipm.initial_state(setup, x0)
@@ -78,10 +73,6 @@ def test_initial_state_shapes_and_barrier(rng):
         assert state.v[i].shape == (setup.locals[i].eq_A.shape[0],)
     for k, sp in enumerate(p.subproblems):
         assert np.all(state.lam[k] == 1.0)
-    eta0 = oracle.surrogate_gap(p, x0, state.lam)
-    if p.m_total:
-        # the centering weight of the current gap: sigma = 1
-        assert np.isclose(state.t, p.m_total / eta0)
     with pytest.raises(ProblemFormatError):
         ipm.initial_state(setup, x0[:-1])
     with pytest.raises(ProblemFormatError):
@@ -100,20 +91,10 @@ def test_step_scale_and_barrier_updates():
         ipm._next_t(0.0, 0.0, 4)
 
 
-# ---------------- directions ----------------
+# ---------------- one iteration ----------------
 
 
-def global_dx(setup, dirs):
-    """Stitch per-clique primal directions into global coordinates."""
-    out = np.full(setup.n, np.nan)
-    for i in range(setup.tree.q):
-        cols = list(setup.tree.cliques[i])
-        old = out[cols]
-        both = ~np.isnan(old)
-        assert np.allclose(old[both], dirs.dx[i][both], atol=1e-9)
-        out[cols] = dirs.dx[i]
-    assert not np.isnan(out).any()
-    return out
+ONE = ipm.SolverParams(max_iters=1)
 
 
 def test_directions_match_dense_newton(rng):
@@ -121,57 +102,43 @@ def test_directions_match_dense_newton(rng):
         p, x0 = random_loose_qp(rng)
         setup = ipm.prepare(p)
         lam, v = interior_duals(rng, p, setup.assignment)
-        state = ipm.initial_state(setup, x0, lam0=lam, v0=v)
-        dirs = ipm.compute_directions(setup, state)
-        dx_ref, dv_ref, dlam_ref = oracle.newton_direction(
-            p, setup.assignment, setup.tree, x0, lam, v, state.t
+        res = ipm.solve(p, ONE, x0, lam, v, tree=setup.tree, record_log=False)
+        aff, corr = agent_directions(res)
+        aff_ref, corr_ref, _, _ = oracle.mehrotra_direction(
+            p, setup.assignment, setup.tree, x0, lam, v
         )
-        dx = global_dx(setup, dirs)
-        denom = 1.0 + np.abs(dx_ref).max()
-        assert np.abs(dx - dx_ref).max() / denom < 1e-8
-        for i in range(setup.tree.q):
-            assert np.allclose(dirs.dv[i], dv_ref[i], atol=1e-8 * denom)
-        for k in range(len(p.subproblems)):
-            assert np.allclose(dirs.dlam[k], dlam_ref[k], atol=1e-8 * denom)
+        assert direction_gap(setup.tree, aff, aff_ref) < 1e-8
+        assert direction_gap(setup.tree, corr, corr_ref) < 1e-8
 
 
 def test_step_size_respects_interiority_and_decrease(rng):
     found = 0
+    params = ipm.SolverParams()
     for _ in range(20):
         p, x0 = random_loose_qp(rng)
         if p.m_total == 0:
             continue
-        setup = ipm.prepare(p)
-        state = ipm.initial_state(setup, x0)
-        dirs = ipm.compute_directions(setup, state)
-        params = ipm.SolverParams()
-        res = ipm.distributed_step_size(setup, state, dirs, params)
+        res = ipm.solve(p, ONE, x0, record_log=False)
         found += 1
-        # multipliers stay positive at the accepted step
-        for k in state.lam:
-            lam_hat = state.lam[k] + res.alpha * dirs.dlam[k]
-            assert np.all(lam_hat > 0)
-        # accepted point is strictly feasible
-        dx = global_dx(setup, dirs)
-        x_hat = x0 + res.alpha * dx
-        assert p.max_inequality(x_hat) < 0
-        # reported residuals are the oracle's, and the squared decrease
-        # condition (or the floor) holds
-        lam_hat = {k: state.lam[k] + res.alpha * dirs.dlam[k] for k in state.lam}
-        v_hat = {i: state.v[i] + res.alpha * dirs.dv[i] for i in state.v}
-        w = oracle.dual_residual(
-            p, setup.assignment, setup.tree, x_hat, lam_hat, v_hat
-        )
-        p_sq = oracle.primal_residual_sq(setup.assignment, setup.tree, x_hat)
-        assert np.isclose(res.p_new_sq, p_sq, rtol=1e-9, atol=1e-12)
-        assert np.isclose(res.d_new_sq, float(w @ w), rtol=1e-9, atol=1e-12)
-        ok_decrease = res.p_new_sq + res.d_new_sq <= (
-            1.0 - params.gamma * res.alpha
-        ) ** 2 * (res.p_old_sq + res.d_old_sq) + 1e-15
-        ok_floor = (
-            res.p_new_sq <= params.eps_feas**2
-            and res.d_new_sq <= params.eps_feas**2
-        )
+        a, tree = res.setup.assignment, res.setup.tree
+        # multipliers stay positive and the accepted point strictly feasible
+        assert all(np.all(lam > 0) for lam in res.lam.values())
+        assert p.max_inequality(res.x) < 0
+        # reported residuals are the oracle's at the accepted point, and
+        # the squared decrease condition (or the floor) holds
+        row = res.trace.rows[0]
+        p_new = oracle.primal_residual_sq(a, tree, res.x)
+        w_new = oracle.dual_residual(p, a, tree, res.x, res.lam, res.v)
+        d_new = float(w_new @ w_new)
+        assert np.isclose(row.r_primal_norm**2, p_new, rtol=1e-9, atol=1e-12)
+        assert np.isclose(row.r_dual_norm**2, d_new, rtol=1e-9, atol=1e-12)
+        lam0 = {k: np.ones(sp.m) for k, sp in enumerate(p.subproblems)}
+        v0 = {i: np.ones(a.local_eq[i][0].shape[0]) for i in range(tree.q)}
+        w_old = oracle.dual_residual(p, a, tree, x0, lam0, v0)
+        old = oracle.primal_residual_sq(a, tree, x0) + float(w_old @ w_old)
+        shrink = (1.0 - params.gamma * row.alpha) ** 2
+        ok_decrease = p_new + d_new <= shrink * old * (1.0 + 1e-9)
+        ok_floor = p_new <= params.eps_feas**2 and d_new <= params.eps_feas**2
         assert ok_decrease or ok_floor
     assert found >= 10
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from treeipm import chordal, model
+from treeipm import chordal, ipm, model
 from treeipm.errors import InfeasibleEqualityError, ProblemFormatError
 
 from conftest import random_loose_qp
@@ -258,14 +258,14 @@ def assignment_eq_system(p, tree, a):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def test_preprocess_equalities_preserves_feasible_set(rng):
+def test_equality_push_preserves_feasible_set(rng):
+    # the blocks the solver runs on, reduced by the eq-constraint-push pass
     for trial in range(12):
         p, _ = random_loose_qp(rng, eq_redundancy=2)
         if p.p_total == 0:
             continue
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
-        a = model.assign(p, tree)
-        a2 = model.preprocess_equalities(p, tree, a)
+        a2 = ipm.prepare(p, tree).assignment
         A0, b0 = global_eq_system(p)
         A1, b1 = assignment_eq_system(p, tree, a2)
         # same affine solution set: particular solutions cross-satisfy

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
-import scipy.linalg
 
 from treeipm import chordal, ipm, model, oracle, treeqp
 from treeipm.errors import EliminationError, NotStrictlyFeasibleError
 
 from conftest import interior_duals, random_loose_qp, random_tree_qp
-
-warnings.filterwarnings("ignore", category=scipy.linalg.LinAlgWarning)
 
 
 def test_dual_residual_is_lagrangian_gradient(rng):
