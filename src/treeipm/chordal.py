@@ -7,7 +7,9 @@ every derived object is deterministic for a given input.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+import itertools
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -124,17 +126,24 @@ def chordal_embed(g: UndirectedGraph) -> tuple[UndirectedGraph, list[IndexSet]]:
     together with its maximal cliques in discovery order.
 
     The output graph is chordal, contains ``g``, and the returned cliques
-    are exactly its maximal complete subgraphs.
+    are exactly its maximal complete subgraphs.  A stored clique holds its
+    own eliminated vertex, which no later candidate contains, so a new
+    candidate never absorbs an earlier clique; it is redundant exactly when
+    an earlier clique holding ``v`` contains it.
     """
     adj = g.adjacency()
-    active = set(range(g.n))
+    heap = [(len(a), u) for u, a in enumerate(adj)]
+    heapq.heapify(heap)
+    done = [False] * g.n
+    holders: list[list[int]] = [[] for _ in range(g.n)]
     fill: set[tuple[int, int]] = set()
     cliques: list[IndexSet] = []
 
-    while active:
-        v = min(active, key=lambda u: (len(adj[u]), u))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if done[v] or deg != len(adj[v]):
+            continue  # stale key
         neigh = sorted(adj[v])
-        cand = frozenset([v, *neigh])
         # connect the eliminated vertex's neighbourhood
         for a_pos in range(len(neigh)):
             for b_pos in range(a_pos + 1, len(neigh)):
@@ -143,15 +152,16 @@ def chordal_embed(g: UndirectedGraph) -> tuple[UndirectedGraph, list[IndexSet]]:
                     adj[a].add(b)
                     adj[b].add(a)
                     fill.add(_canon(a, b))
-        stored = [frozenset(c) for c in cliques]
-        if not any(cand <= s for s in stored):
-            # drop earlier cliques that the new one absorbs
-            cliques = [c for c, s in zip(cliques, stored) if not (s < cand)]
+        cand = adj[v] | {v}
+        if not any(cand.issubset(cliques[c]) for c in holders[v]):
+            for u in cand:
+                holders[u].append(len(cliques))
             cliques.append(tuple(sorted(cand)))
         for u in neigh:
             adj[u].discard(v)
+            heapq.heappush(heap, (len(adj[u]), u))
         adj[v].clear()
-        active.remove(v)
+        done[v] = True
 
     embedded = UndirectedGraph(g.n, frozenset(g.edges | fill))
     return embedded, cliques
@@ -275,44 +285,41 @@ def mwst_clique_tree(cliques: Sequence[Iterable[int]]) -> CliqueTree:
 
     Grows the tree greedily from clique 0; at each step the heaviest
     crossing edge wins, with ties broken by the smallest ``(i, j)`` pair.
-    Cliques with pairwise empty intersections cannot be joined, so a
-    disconnected intersection structure raises.
+    The crossing edges wait in a heap keyed ``(-w, (i, j))``; each clique
+    pushes its edges when it joins, and edges that stopped crossing are
+    dropped as they surface.  Cliques with pairwise empty intersections
+    cannot be joined, so a disconnected intersection structure raises.
     """
-    sets = [frozenset(index_set(c)) for c in cliques]
+    sets = [index_set(c) for c in cliques]
     q = len(sets)
     if q == 0:
         raise ProblemFormatError("no cliques given")
-    if q == 1:
-        return CliqueTree([tuple(sorted(sets[0]))], frozenset())
+    holders: dict[int, list[int]] = {}
+    for i, c in enumerate(sets):
+        for v in c:
+            holders.setdefault(v, []).append(i)
 
-    in_tree = {0}
+    in_tree = [False] * q
+    frontier: list[tuple[int, tuple[int, int], int]] = []
     edges: set[tuple[int, int]] = set()
-    while len(in_tree) < q:
-        best: tuple[int, tuple[int, int]] | None = None
-        for i in in_tree:
-            for j in range(q):
-                if j in in_tree:
-                    continue
-                w = len(sets[i] & sets[j])
-                if w == 0:
-                    continue
-                key = (-w, _canon(i, j))
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            inter_edges = {
-                (i, j)
-                for i in range(q)
-                for j in range(i + 1, q)
-                if sets[i] & sets[j]
-            }
-            inter = UndirectedGraph(q, frozenset(inter_edges))
-            raise DisconnectedGraphError(connected_components(inter))
-        i, j = best[1]
-        edges.add((i, j))
-        in_tree.add(j if i in in_tree else i)
+    new = 0
+    for _ in range(q - 1):
+        in_tree[new] = True
+        # weights |C_new & C_j| from the index, for the cliques it meets
+        for j, w in Counter(j for v in sets[new] for j in holders[v]).items():
+            if not in_tree[j]:
+                heapq.heappush(frontier, (-w, _canon(new, j), j))
+        while frontier and in_tree[frontier[0][2]]:
+            heapq.heappop(frontier)
+        if not frontier:
+            inter = {e for hs in holders.values() for e in itertools.combinations(hs, 2)}
+            raise DisconnectedGraphError(
+                connected_components(UndirectedGraph(q, frozenset(inter)))
+            )
+        _, edge, new = heapq.heappop(frontier)
+        edges.add(edge)
 
-    return CliqueTree([tuple(sorted(s)) for s in sets], frozenset(edges))
+    return CliqueTree(sets, frozenset(edges))
 
 
 def _bfs_far(adj: list[set[int]], start: int) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -409,35 +416,24 @@ def tree_sets(
 
 
 def check_cip(tree: CliqueTree) -> bool:
-    """Clique intersection property: pairwise intersections survive along paths."""
+    """Clique intersection property: pairwise intersections survive along paths.
+
+    Holds iff the edges span the cliques as a tree and, for every variable,
+    the cliques holding it are connected: the tree edges whose separator
+    holds it number one less than those cliques.
+    """
     q = tree.q
     if q <= 1:
         return True
     if len(tree.edges) != q - 1:
         return False
-    adj = _tree_adjacency(tree)
-    # paths via BFS parent maps from every source
-    for a in range(q):
-        par: dict[int, int] = {a: -1}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for t in adj[u]:
-                if t not in par:
-                    par[t] = u
-                    queue.append(t)
-        if len(par) != q:
-            return False
-        for b in range(a + 1, q):
-            common = set(tree.cliques[a]) & set(tree.cliques[b])
-            if not common:
-                continue
-            node = b
-            while node != a:
-                if not common <= set(tree.cliques[node]):
-                    return False
-                node = par[node]
-    return True
+    if len(connected_components(UndirectedGraph(q, tree.edges))) != 1:
+        return False
+    count = Counter(v for c in tree.cliques for v in c)
+    count.subtract(
+        v for i, j in tree.edges for v in set(tree.cliques[i]).intersection(tree.cliques[j])
+    )
+    return all(k == 1 for k in count.values())
 
 
 def clique_tree_for(

@@ -33,6 +33,15 @@ EQ_RANK_TOL = 1e-10
 SOLVE_BACKWARD_TOL = 1e-8
 
 
+def backward_ok(M: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> bool:
+    """Normwise backward-error contract of a solve of ``M sol = rhs``:
+    finite, and ``|M sol - rhs| <= SOLVE_BACKWARD_TOL (|M| |sol| + |rhs| + 1)``."""
+    if not np.isfinite(sol).all():
+        return False
+    scale = np.linalg.norm(M) * np.linalg.norm(sol) + np.linalg.norm(rhs) + 1.0
+    return np.linalg.norm(M @ sol - rhs) <= SOLVE_BACKWARD_TOL * scale
+
+
 def nullspace_condition(Q_zz: np.ndarray, A_z: np.ndarray, tol: float = 1e-10) -> bool:
     """True when the elimination block ``[[Q_zz, A_z'], [A_z, 0]]`` is regular.
 
@@ -183,16 +192,10 @@ def eliminate(
         rhs[nz:, :ny] = -Ay
         rhs[nz:, ny] = data.beta
 
-        def backward_ok(s):
-            if not np.isfinite(s).all():
-                return False
-            scale = np.linalg.norm(O) * np.linalg.norm(s) + np.linalg.norm(rhs) + 1.0
-            return np.linalg.norm(O @ s - rhs) <= SOLVE_BACKWARD_TOL * scale
-
         ldu, ipiv, info = lapack.dsytrf(O)
         factor = (ldu, ipiv)
         sol = lapack.dsytrs(ldu, ipiv, rhs)[0] if info == 0 else None
-        if sol is None or not backward_ok(sol):
+        if sol is None or not backward_ok(O, sol, rhs):
             # extreme barrier weights can defeat the symmetric pivoting even
             # though the system is consistent; retry with the least-squares
             # solution before declaring the block singular, under the same
@@ -202,7 +205,7 @@ def eliminate(
                 retry = factor @ rhs
             except np.linalg.LinAlgError:
                 retry = None
-            if retry is not None and backward_ok(retry):
+            if retry is not None and backward_ok(O, retry, rhs):
                 sol = retry
             elif sol is None:
                 raise EliminationError(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import time
 
 import networkx as nx
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeipm import chordal
+from treeipm import chordal, model
 from treeipm.errors import DisconnectedGraphError, ProblemFormatError
 
 # a small coupled structure used as the worked example throughout:
@@ -279,6 +282,42 @@ def test_check_cip_detects_violation():
     assert not chordal.check_cip(bad)
 
 
+def pairwise_cip(tree) -> bool:
+    """The definition: a spanning tree whose paths keep every pairwise intersection."""
+    if tree.q <= 1:
+        return True
+    h = tree_to_nx(tree)
+    if len(tree.edges) != tree.q - 1 or not nx.is_connected(h):
+        return False
+    for a, b in itertools.combinations(range(tree.q), 2):
+        common = set(tree.cliques[a]) & set(tree.cliques[b])
+        if any(not common <= set(tree.cliques[k]) for k in nx.shortest_path(h, a, b)):
+            return False
+    return True
+
+
+@st.composite
+def labelled_trees(draw):
+    """Random cliques on a random tree, with an edge sometimes moved off it."""
+    q = draw(st.integers(1, 7))
+    cliques = [
+        tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=4))))
+        for _ in range(q)
+    ]
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, q)}
+    if q > 2 and draw(st.booleans()):
+        edges.remove(draw(st.sampled_from(sorted(edges))))
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(q), 2))))
+        edges.add((i, j))
+    return chordal.CliqueTree(cliques, frozenset(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_trees())
+def test_check_cip_agrees_with_pairwise_definition(tree):
+    assert chordal.check_cip(tree) == pairwise_cip(tree)
+
+
 # ---------------- property tests ----------------
 
 
@@ -342,3 +381,114 @@ def test_pipeline_properties(case):
         assert set(ts.sep) == sep
         assert set(ts.v_side) & set(ot.v_side) == sep
         assert set(ts.w_side) | set(ot.w_side) == set(range(tree.q))
+
+
+# ---------------- tie-breaks of the embedding and the spanning tree ----------------
+
+
+def reference_embed(g):
+    """Minimum degree, lowest index first; returns the fill edges and the cliques."""
+    adj = g.adjacency()
+    active = set(range(g.n))
+    fill, cliques = set(), []
+    while active:
+        v = min(active, key=lambda u: (len(adj[u]), u))
+        for a, b in itertools.combinations(sorted(adj[v]), 2):
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                fill.add((a, b))
+        cand = adj[v] | {v}
+        if not any(cand <= set(c) for c in cliques):
+            cliques = [c for c in cliques if not set(c) < cand]
+            cliques.append(tuple(sorted(cand)))
+        for u in adj[v]:
+            adj[u].discard(v)
+        active.remove(v)
+    return fill, cliques
+
+
+def reference_prim(cliques):
+    """Prim from clique 0: heaviest crossing edge, smallest ``(i, j)`` on ties.
+
+    Returns the tree edges, or the components of the intersection graph
+    when the cliques cannot be spanned.
+    """
+    sets = [set(c) for c in cliques]
+    q = len(sets)
+    in_tree, edges = {0}, set()
+    while len(in_tree) < q:
+        keys = [
+            (-len(sets[i] & sets[j]), (min(i, j), max(i, j)), j)
+            for i in in_tree
+            for j in range(q)
+            if j not in in_tree and sets[i] & sets[j]
+        ]
+        if not keys:
+            h = nx.Graph()
+            h.add_nodes_from(range(q))
+            h.add_edges_from(
+                (i, j) for i, j in itertools.combinations(range(q), 2) if sets[i] & sets[j]
+            )
+            return None, sorted(sorted(c) for c in nx.connected_components(h))
+        _, edge, j = min(keys)
+        edges.add(edge)
+        in_tree.add(j)
+    return frozenset(edges), None
+
+
+def assert_prim_matches(cliques):
+    edges, components = reference_prim(cliques)
+    if edges is None:
+        with pytest.raises(DisconnectedGraphError) as exc:
+            chordal.mwst_clique_tree(cliques)
+        assert exc.value.components == components
+    else:
+        assert chordal.mwst_clique_tree(cliques).edges == edges
+
+
+@st.composite
+def connected_scope_lists(draw):
+    """Scopes that cover ``0..n-1``, mostly joined, sometimes split."""
+    n = draw(st.integers(2, 16))
+    scopes = [
+        tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=5))))
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    covered = {v for s in scopes for v in s}
+    scopes += [(v,) for v in range(n) if v not in covered]
+    return n, scopes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scope_lists(), connected_scope_lists()))
+def test_embedding_and_tree_keep_the_reference_tie_breaks(case):
+    n, scopes = case
+    g = chordal.sparsity_graph(scopes, n)
+    embedded, cliques = chordal.chordal_embed(g)
+    fill, ref_cliques = reference_embed(g)
+    assert embedded.edges - g.edges == fill
+    assert cliques == ref_cliques
+    assert_prim_matches(cliques)
+    assert_prim_matches(scopes)
+
+
+# sha256 of the sorted-key JSON of the criterion-6 tree (flow seed 0, 511 agents)
+H8_TREE_SHA256 = "35d32eeb5ff68c3d2a7641ff9309bdf30156e19032e648718975ad3c4aa3eef4"
+
+
+def test_criterion_6_tree_is_pinned():
+    p, _ = model.gen_flow(model.balanced_tree(8, 2), seed=0)
+    _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
+    assert (tree.q, tree.height) == (574, 11)
+    doc = json.dumps(tree.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == H8_TREE_SHA256
+
+
+def test_clique_tree_for_scales_to_1023_agents():
+    p, _ = model.gen_flow(model.balanced_tree(9, 2), seed=0)
+    start = time.perf_counter()
+    _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
+    assert time.perf_counter() - start < 2.0
+    assert tree.q == 1150
+    assert chordal.check_cip(tree)

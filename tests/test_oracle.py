@@ -131,6 +131,45 @@ def test_dense_kkt_lstsq_handles_redundant_rows():
     assert np.allclose(A @ dx, [1.0, 1.0], atol=1e-10)
 
 
+def stiff_kkt():
+    """Saddle-point system whose barrier weights climb to 1e11 (condition ~1e14)."""
+    rng = np.random.default_rng(0)
+    n, rows = 8, 2
+    J = rng.normal(size=(n, n))
+    H = np.eye(n) + J.T @ (np.logspace(0, 11, n)[:, None] * J)
+    A = rng.normal(size=(rows, n))
+    kkt = oracle.GlobalKkt(
+        H, A, rng.normal(size=n), rng.normal(size=rows), {0: slice(0, rows)}
+    )
+    M = np.block([[H, A.T], [A, np.zeros((rows, rows))]])
+    return kkt, M, np.concatenate([-kkt.r, -kkt.r_pri])
+
+
+def test_dense_kkt_solve_accepts_backward_stable_solve_under_stiff_barrier():
+    kkt, M, rhs = stiff_kkt()
+    dx, dv = oracle.dense_kkt_solve(kkt)
+    sol = np.concatenate([dx, dv])
+    assert np.array_equal(sol, np.linalg.solve(M, rhs))
+    # the former absolute bound rejected this LU solution
+    resid = np.abs(M @ sol - rhs).max()
+    assert resid > 1e-10 * (1.0 + np.abs(rhs).max())
+    assert treeqp.backward_ok(M, sol, rhs)
+
+
+def test_dense_kkt_solve_rejects_a_perturbed_solution(monkeypatch):
+    kkt, M, rhs = stiff_kkt()
+    exact = np.linalg.solve
+    sol = exact(M, rhs)
+    # push the solution along M's strongest direction: backward error ~1e-5
+    top = np.linalg.svd(M)[2][0]
+    bad = sol + 1e-5 * np.linalg.norm(sol) * top
+    scale = np.linalg.norm(M) * np.linalg.norm(bad) + np.linalg.norm(rhs) + 1.0
+    assert np.linalg.norm(M @ bad - rhs) > 100 * treeqp.SOLVE_BACKWARD_TOL * scale
+    monkeypatch.setattr(np.linalg, "solve", lambda m, b: bad.copy())
+    with pytest.raises(EliminationError, match="backward error"):
+        oracle.dense_kkt_solve(kkt)
+
+
 # ---------------- centralized reference loop ----------------
 
 
