@@ -192,15 +192,6 @@ class CliqueTree:
     def is_rooted(self) -> bool:
         return self.root is not None
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def separator(self, i: int, j: int) -> IndexSet:
         if _canon(i, j) not in self.edges:
             raise ProblemFormatError(f"({i}, {j}) is not a tree edge")

@@ -46,15 +46,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--eps", type=float, default=1e-10, help="surrogate gap tolerance")
-    sp.add_argument(
-        "--eps-feas", type=float, default=1e-8, help="residual norm tolerance"
-    )
-    sp.add_argument("--beta", type=float, default=0.5, help="backtracking factor")
-    sp.add_argument(
-        "--gamma", type=float, default=0.05, help="line search decrease fraction"
-    )
-    sp.add_argument("--max-iters", type=int, default=100, help="iteration cap")
+    d = ipm.SolverParams()
+    for flag, kind, default, text in (
+        ("--eps", float, d.eps, "surrogate gap tolerance"),
+        ("--eps-feas", float, d.eps_feas, "residual norm tolerance"),
+        ("--beta", float, d.beta, "backtracking factor"),
+        ("--gamma", float, d.gamma, "line search decrease fraction"),
+        ("--max-iters", int, d.max_iters, "iteration cap"),
+    ):
+        sp.add_argument(flag, type=kind, default=default, help=text)
 
 
 def _params(args: argparse.Namespace) -> ipm.SolverParams:
@@ -105,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("problem", help="problem JSON path")
     d.add_argument("--out", required=True, help="output JSON path")
     return parser
-
-
-def _load(path: str) -> model.CoupledProblem:
-    return model.load_problem(path)
 
 
 def _load_x0(path: str | None, n: int) -> np.ndarray | None:
@@ -175,7 +171,7 @@ def _write_solution(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    p = _load(args.problem)
+    p = model.load_problem(args.problem)
     params = _params(args)
     out = _outdir(args.out)
     runs = ipm.solve_auto(p, params, _load_x0(args.x0, p.n))
@@ -218,7 +214,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_central(args: argparse.Namespace) -> int:
-    p = _load(args.problem)
+    p = model.load_problem(args.problem)
     params = _params(args)
     out = _outdir(args.out)
     x0 = _load_x0(args.x0, p.n)
@@ -252,7 +248,7 @@ def cmd_solve_central(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    p = _load(args.problem)
+    p = model.load_problem(args.problem)
     params = _params(args)
     reports = []
     ok = True
@@ -306,7 +302,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_tree(args: argparse.Namespace) -> int:
-    p = _load(args.problem)
+    p = model.load_problem(args.problem)
     docs = []
     for comp in ipm.split_components(p):
         graph, _, tree = chordal.clique_tree_for(

@@ -16,12 +16,19 @@ schedule of synchronous passes:
 4. downward (``corrector-solution``): ``t`` and the corrector's separator
    solutions propagate; each agent adds its corrector to the affine
    direction, reusing the factors of pass 1;
-5. upward (``alpha-bound``): multiplier-positivity step bounds and current
-   residual norms aggregate to the root;
+5. upward (``alpha-bound``): the multiplier-positivity step bound
+   aggregates to the root;
 6. downward (``alpha-broadcast``): the root broadcasts the candidate step;
-7. upward (``residual-partial``): candidate-point residuals, interiority
-   flags and the surrogate gap aggregate; the root either accepts (one
-   final ``stop-broadcast``) or shrinks the step and repeats 6-7.
+7. upward (``residual-partial``): each agent forms its candidate point and
+   keeps it; the candidate's residuals, interiority flags and surrogate
+   gap aggregate, and the root either accepts (one final
+   ``stop-broadcast``, on which every agent adopts its stored candidate)
+   or shrinks the step and repeats 6-7.
+
+The decrease test compares a candidate's residuals with those of the
+current iterate.  The root keeps them from the pass that accepted the
+iterate; for the start point one ``residual-partial`` pass runs in the
+set-up phase, so every point is evaluated once.
 
 Aggregation sums run in child-index order.  Residual norms are those of
 the globally scattered residual vectors: scalar partial sums plus
@@ -197,6 +204,7 @@ class SolverSetup:
     locals: dict[int, CliqueLocal]
     m_total: int
     n: int
+    network: netsim.Network
 
 
 @dataclass
@@ -245,60 +253,51 @@ def _build_locals(
 def prepare(
     p: CoupledProblem,
     tree: chordal.CliqueTree | None = None,
-    net: netsim.Network | None = None,
+    record_log: bool = False,
 ) -> SolverSetup:
-    """Tree, agent assignment and the reduced equality blocks.
+    """Tree, network, agent assignment and the reduced equality blocks.
 
-    The blocks come from the ``eq-constraint-push`` pass, run on ``net``
-    (by default a fresh network without a run log): each agent stacks its
-    rows with those its children pushed up, keeps the rows it can pin
-    down over its eliminated variables and pushes the rest to its parent
-    over the separator.  The feasible set of the stacked system is
-    preserved; an inconsistent system raises at the root.
+    Each agent's :class:`CliqueLocal` is built once and stored as ``loc``.
+    The blocks come from the ``eq-constraint-push`` pass, the network's
+    first: each agent stacks its rows with those its children pushed up,
+    keeps the rows it can pin down over its eliminated variables and
+    pushes the rest to its parent over the separator.  The feasible set of
+    the stacked system is preserved; an inconsistent system raises at the
+    root.
     """
     p.validate()
     if tree is None:
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
-    if net is None:
-        net = netsim.Network(tree, record_log=False)
+    net = netsim.Network(tree, record_log=record_log)
     raw = model.assign(p, tree)
-    for i in range(tree.q):
-        env = net.agents[i]
-        par = tree.parent[i]
-        env.put("eq_raw", raw.local_eq[i])
-        env.put("sep", tree.separator(i, par) if par is not None else ())
+    locs = _build_locals(p, tree, raw)
+    for i, loc in locs.items():
+        net.agents[i].put("loc", loc)
 
     def pre_up(env: netsim.AgentEnv, inbox):
-        A, b = env.get("eq_raw")
-        clique = env.clique
-        blocks_A = [A]
-        blocks_b = [b]
+        loc = env.get("loc")
+        blocks_A = [loc.eq_A]
+        blocks_b = [loc.eq_b]
         for e in inbox:
-            child_sep = e.payload["sep"]
-            block = np.zeros((e.payload["A"].shape[0], len(clique)))
-            block[:, positions(child_sep, clique)] = e.payload["A"]
+            block = np.zeros((e.payload["A"].shape[0], len(loc.clique)))
+            block[:, loc.child_sep_pos[e.src]] = e.payload["A"]
             blocks_A.append(block)
             blocks_b.append(e.payload["b"])
-        A = np.vstack(blocks_A)
-        b = np.concatenate(blocks_b)
-        sep = env.get("sep")
-        sep_set = set(sep)
-        elim_pos = np.array(
-            [t for t, vv in enumerate(clique) if vv not in sep_set], dtype=int
+        loc.eq_A, loc.eq_b, push_A, push_b = model.reduce_equality_block(
+            np.vstack(blocks_A),
+            np.concatenate(blocks_b),
+            loc.elim_pos,
+            loc.sep_pos,
+            is_root=env.parent is None,
         )
-        keep_pos = positions(sep, clique)
-        kept_A, kept_b, push_A, push_b = model.reduce_equality_block(
-            A, b, elim_pos, keep_pos, is_root=env.parent is None
-        )
-        env.put("eq", (kept_A, kept_b))
         if env.parent is None:
             return None
-        return {"A": push_A, "b": push_b, "sep": sep}
+        return {"A": push_A, "b": push_b}
 
     net.run_up("eq-constraint-push", pre_up)
-    local_eq = {i: net.agents[i].get("eq") for i in range(tree.q)}
+    local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
     a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
-    return SolverSetup(p, tree, a, _build_locals(p, tree, a), p.m_total, p.n)
+    return SolverSetup(p, tree, a, locs, p.m_total, p.n, net)
 
 
 def initial_state(
@@ -473,65 +472,21 @@ def _corrector_local(
     return {"alpha": amax, "gap": gap}, r, soc
 
 
-def _dual_vector(
-    loc: CliqueLocal,
-    evals: Mapping[int, model.SubproblemEval],
-    v: np.ndarray,
-    lam: Mapping[int, np.ndarray],
-) -> np.ndarray:
-    w = np.zeros(len(loc.clique))
-    for k, _, pos in loc.subs:
-        ev = evals[k]
-        w[pos] += ev.grad + (ev.jac.T @ lam[k] if ev.g.size else 0.0)
-    if loc.eq_A.shape[0]:
-        w += loc.eq_A.T @ v
-    return w
-
-
-def _stage1_local(
-    loc: CliqueLocal,
-    evals: Mapping[int, model.SubproblemEval],
-    x: np.ndarray,
-    v: np.ndarray,
-    lam: Mapping[int, np.ndarray],
-    dlam: Mapping[int, np.ndarray],
-    children: Sequence[tuple[int, dict]],
-    scale: float,
-) -> dict:
-    amax = 1.0
-    for k, _, _ in loc.subs:
-        d = dlam[k]
-        mask = d < 0
-        if mask.any():
-            amax = min(amax, float(np.min(-lam[k][mask] / d[mask])))
-    alpha = scale * amax
-    for _, pl in children:
-        alpha = min(alpha, pl["alpha"])
-    w = _dual_vector(loc, evals, v, lam)
-    p_sq = 0.0
-    d_sq = 0.0
-    for src, pl in children:
-        p_sq += pl["p"]
-        d_sq += pl["d"]
-        w[loc.child_sep_pos[src]] += pl["push"]
-    own_pr = loc.eq_A @ x - loc.eq_b
-    p_sq += float(own_pr @ own_pr)
-    own_w = w[loc.elim_pos]
-    d_sq += float(own_w @ own_w)
-    return {"alpha": alpha, "p": p_sq, "d": d_sq, "push": w[loc.sep_pos]}
-
-
-def _candidate_local(
+def _residual_local(
     loc: CliqueLocal,
     x: np.ndarray,
     v: np.ndarray,
     lam: Mapping[int, np.ndarray],
-    dx: np.ndarray,
-    dv: np.ndarray,
-    dlam: Mapping[int, np.ndarray],
-    alpha: float,
     children: Sequence[tuple[int, dict]],
 ) -> dict:
+    """One agent's share of the residual norms, interiority and gap at a point.
+
+    The squared primal and dual residual norms and the surrogate gap
+    ``-sum lam'g`` are summed over the subtree; ``push`` is the dual
+    residual restricted to the separator, for the parent to finish.  A
+    point outside the strict interior anywhere in the subtree comes back
+    ``ok = False`` with zero sums.
+    """
     dead = {
         "ok": False,
         "p": 0.0,
@@ -541,16 +496,16 @@ def _candidate_local(
     }
     if not all(pl["ok"] for _, pl in children):
         return dead
-    x_hat = x + alpha * dx
-    evals: dict[int, model.SubproblemEval] = {}
+    w = np.zeros(len(loc.clique))
+    own_eta: list[float] = []
     for k, sp, pos in loc.subs:
-        ev = eval_subproblem(sp, x_hat[pos])
+        ev = eval_subproblem(sp, x[pos])
         if ev.g.size and ev.g.max() >= 0:
             return dead
-        evals[k] = ev
-    v_hat = v + alpha * dv
-    lam_hat = {k: lam[k] + alpha * dlam[k] for k, _, _ in loc.subs}
-    w = _dual_vector(loc, evals, v_hat, lam_hat)
+        w[pos] += ev.grad + (ev.jac.T @ lam[k] if ev.g.size else 0.0)
+        own_eta.append(float(-(lam[k] @ ev.g)))
+    if loc.eq_A.shape[0]:
+        w += loc.eq_A.T @ v
     p_sq = 0.0
     d_sq = 0.0
     eta = 0.0
@@ -559,26 +514,23 @@ def _candidate_local(
         d_sq += pl["d"]
         eta += pl["eta"]
         w[loc.child_sep_pos[src]] += pl["push"]
-    own_pr = loc.eq_A @ x_hat - loc.eq_b
+    own_pr = loc.eq_A @ x - loc.eq_b
     p_sq += float(own_pr @ own_pr)
     own_w = w[loc.elim_pos]
     d_sq += float(own_w @ own_w)
-    for k, _, _ in loc.subs:
-        eta += float(-(lam_hat[k] @ evals[k].g))
+    for e in own_eta:
+        eta += e
     return {"ok": True, "p": p_sq, "d": d_sq, "push": w[loc.sep_pos], "eta": eta}
 
 
 def _accept_test(
-    cand: Mapping,
-    alpha: float,
-    p_old_sq: float,
-    d_old_sq: float,
-    params: SolverParams,
+    cand: Mapping, ref: Mapping, alpha: float, params: SolverParams
 ) -> bool:
+    """Strict interiority and the residual decrease against ``ref``."""
     if not cand["ok"]:
         return False
     lhs = cand["p"] + cand["d"]
-    rhs = (1.0 - params.gamma * alpha) ** 2 * (p_old_sq + d_old_sq)
+    rhs = (1.0 - params.gamma * alpha) ** 2 * (ref["p"] + ref["d"])
     if lhs <= rhs:
         return True
     # both residuals already at the feasibility tolerance: forcing a further
@@ -609,12 +561,12 @@ class SolveResult:
     def separator_gap(self) -> float:
         """Largest disagreement of shared variables across tree edges."""
         worst = 0.0
-        tree = self.setup.tree
-        for i, j in tree.edges:
-            sep = tree.separator(i, j)
-            a = self.x_clique[i][positions(sep, tree.cliques[i])]
-            b = self.x_clique[j][positions(sep, tree.cliques[j])]
-            if sep:
+        locs = self.setup.locals
+        for c, loc in locs.items():
+            par = self.setup.tree.parent[c]
+            if par is not None and loc.sep:
+                a = self.x_clique[c][loc.sep_pos]
+                b = self.x_clique[par][locs[par].child_sep_pos[c]]
                 worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
@@ -638,23 +590,19 @@ def solve(
     variables are negative; each agent checks the ones it owns.
     """
     params = params or SolverParams()
-    p.validate()
+    setup = prepare(p, tree, record_log)
     if x0 is None:
         raise NotStrictlyFeasibleError(
             "a strictly feasible x0 is required; obtain one via phase_one"
         )
-    x0 = np.asarray(x0, dtype=float)
+    state = initial_state(setup, x0, lam0, v0)
     worst = p.max_inequality(x0)
     if worst >= 0:
         raise NotStrictlyFeasibleError(
             f"x0 violates strict feasibility (max g = {worst:.3e}); run phase_one"
         )
-    if tree is None:
-        _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
-
-    net = netsim.Network(tree, record_log=record_log)
-    setup = prepare(p, tree, net)
-    state = initial_state(setup, x0, lam0, v0)
+    net = setup.network
+    tree = setup.tree
     root = tree.root
     scale = _step_scale(setup.m_total)
 
@@ -662,12 +610,20 @@ def solve(
     for i in range(tree.q):
         env = net.agents[i]
         loc = setup.locals[i]
-        env.put("loc", loc)
         if watched:
             env.put("watch", [t for t in loc.elim_pos if loc.clique[t] in watched])
         env.put("x", state.x[i])
         env.put("v", state.v[i])
         env.put("lam", {k: state.lam[k] for k in setup.assignment.phi[i]})
+
+    def residual_up(env, inbox):
+        x, v, lam = env.get("x"), env.get("v"), env.get("lam")
+        children = [(e.src, e.payload) for e in inbox]
+        return _residual_local(env.get("loc"), x, v, lam, children)
+
+    # the start point's residuals, the first decrease-test reference; after
+    # that the root keeps the accepted candidate's
+    ref = net.run_up("residual-partial", residual_up)
 
     def dir_up(env, inbox):
         loc = env.get("loc")
@@ -722,18 +678,17 @@ def solve(
             c: {"t": t, "y": dx_c[loc.child_sep_pos[c]]} for c in env.children
         }
 
-    def stage1_up(env, inbox):
-        loc = env.get("loc")
-        return _stage1_local(
-            loc,
-            env.get("evals"),
-            env.get("x"),
-            env.get("v"),
-            env.get("lam"),
-            env.get("dlam"),
-            [(e.src, e.payload) for e in inbox],
-            scale,
-        )
+    def bound_up(env, inbox):
+        lam = env.get("lam")
+        amax = 1.0
+        for k, d in env.get("dlam").items():
+            mask = d < 0
+            if mask.any():
+                amax = min(amax, float(np.min(-lam[k][mask] / d[mask])))
+        alpha = scale * amax
+        for e in inbox:
+            alpha = min(alpha, e.payload)
+        return alpha
 
     def alpha_down(env, envelope):
         a = envelope.payload if envelope is not None else env.get("alpha_bar")
@@ -741,36 +696,27 @@ def solve(
         return {c: a for c in env.children}
 
     def cand_up(env, inbox):
-        loc = env.get("loc")
-        x, dx, alpha = env.get("x"), env.get("dx"), env.get("alpha_bar")
-        out = _candidate_local(
-            loc,
-            x,
-            env.get("v"),
-            env.get("lam"),
-            dx,
-            env.get("dv"),
-            env.get("dlam"),
-            alpha,
-            [(e.src, e.payload) for e in inbox],
-        )
+        alpha = env.get("alpha_bar")
+        x = env.get("x") + alpha * env.get("dx")
+        v = env.get("v") + alpha * env.get("dv")
+        lam, dlam = env.get("lam"), env.get("dlam")
+        lam = {k: lam[k] + alpha * dlam[k] for k in lam}
+        env.put("cand", (x, v, lam))
+        children = [(e.src, e.payload) for e in inbox]
+        out = _residual_local(env.get("loc"), x, v, lam, children)
         if watched:
-            watch = env.get("watch")
             out["negative"] = all(e.payload["negative"] for e in inbox) and bool(
-                np.all(x[watch] + alpha * dx[watch] < 0)
+                np.all(x[env.get("watch")] < 0)
             )
         return out
 
     def accept_down(env, envelope):
-        acc = envelope.payload if envelope is not None else env.get("accept")
-        loc = env.get("loc")
-        a = acc["alpha"]
-        env.put("x", env.get("x") + a * env.get("dx"))
-        env.put("v", env.get("v") + a * env.get("dv"))
-        lam = env.get("lam")
-        dlam = env.get("dlam")
-        env.put("lam", {k: lam[k] + a * dlam[k] for k in lam})
-        return {c: acc for c in env.children}
+        stop = envelope.payload if envelope is not None else env.get("stop")
+        x, v, lam = env.get("cand")
+        env.put("x", x)
+        env.put("v", v)
+        env.put("lam", lam)
+        return {c: stop for c in env.children}
 
     net.begin_phase("solve")
     trace = ConvergenceTrace()
@@ -788,15 +734,13 @@ def solve(
         t = _next_t(c0, eta_aff, setup.m_total)
         net.agents[root].put("t", t)
         net.run_down("corrector-solution", corr_down)
-        st1 = net.run_up("alpha-bound", stage1_up)
-        alpha = st1["alpha"]
-        p_old_sq, d_old_sq = st1["p"], st1["d"]
+        alpha = net.run_up("alpha-bound", bound_up)
         net.agents[root].put("alpha_bar", alpha)
         net.run_down("alpha-broadcast", alpha_down)
         backtracks = 0
         while True:
             cand = net.run_up("residual-partial", cand_up)
-            if _accept_test(cand, alpha, p_old_sq, d_old_sq, params):
+            if _accept_test(cand, ref, alpha, params):
                 break
             alpha *= params.beta
             backtracks += 1
@@ -813,8 +757,9 @@ def solve(
             and eta <= params.eps
         )
         negative = bool(watched) and cand["negative"]
-        net.agents[root].put("accept", {"alpha": alpha, "stop": stop or negative})
+        net.agents[root].put("stop", stop or negative)
         net.run_down("stop-broadcast", accept_down)
+        ref = cand
         trace.rows.append(
             TraceRow(
                 it,
@@ -1028,8 +973,11 @@ def solve_auto(
     supplies the start for that component.
     """
     params = params or SolverParams()
+    comps = split_components(p)
+    if x0 is not None and np.shape(x0) != (p.n,):
+        raise ProblemFormatError(f"x0 must have shape ({p.n},)")
     runs: list[ComponentRun] = []
-    for comp in split_components(p):
+    for comp in comps:
         start, info = component_start(comp, x0, params)
         result = solve(comp.problem, params, start, record_log=record_log)
         runs.append(ComponentRun(comp.variables, comp.subproblems, info, result))

@@ -33,7 +33,6 @@ ENVELOPE_KINDS = frozenset(
         "corrector-solution",
         "alpha-bound",
         "residual-partial",
-        "gap-partial",
         "alpha-broadcast",
         "stop-broadcast",
         "eq-constraint-push",

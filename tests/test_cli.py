@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from treeipm import ipm, model
+from treeipm import cli, ipm, model
 
 
 def run_cli(*args, cwd=None):
@@ -29,6 +29,11 @@ def flow_files(tmp_path_factory):
     res = run_cli("gen-flow", "--height", 1, "--branching", 2, "--seed", 3, "--out", problem)
     assert res.returncode == 0, res.stderr
     return base, problem, problem.with_suffix(".x0.json")
+
+
+def test_solver_flags_default_to_solver_params():
+    args = cli.build_parser().parse_args(["solve", "problem.json"])
+    assert cli._params(args) == ipm.SolverParams()
 
 
 def test_gen_flow_writes_instance_and_start(flow_files):

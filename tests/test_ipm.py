@@ -143,6 +143,82 @@ def test_step_size_respects_interiority_and_decrease(rng):
     assert found >= 10
 
 
+def _check_each_accepted_step(monkeypatch, p, x0, params):
+    """Solve, then check every decrease test the root made and every row.
+
+    The reference of each test is recorded: in iteration 1 it must be the
+    oracle's residual at ``x0`` with the start multipliers, later the
+    previous row's, squared back.  Every row must also pass the decrease
+    test against that reference or sit at the feasibility floor.
+    """
+    refs: list[float] = []
+    accept = ipm._accept_test
+
+    def recording(cand, ref, alpha, params):
+        refs.append(ref["p"] + ref["d"])
+        return accept(cand, ref, alpha, params)
+
+    with monkeypatch.context() as m:
+        m.setattr(ipm, "_accept_test", recording)
+        res = ipm.solve(p, params, x0, record_log=False)
+    a, tree = res.setup.assignment, res.setup.tree
+    lam0 = {k: np.ones(sp.m) for k, sp in enumerate(p.subproblems)}
+    v0 = {i: np.ones(a.local_eq[i][0].shape[0]) for i in range(tree.q)}
+    w0 = oracle.dual_residual(p, a, tree, x0, lam0, v0)
+    prev = oracle.primal_residual_sq(a, tree, x0) + float(w0 @ w0)
+    rtol = 1e-9
+    floor = params.eps_feas**2
+    calls = iter(refs)
+    for row in res.trace.rows:
+        for _ in range(row.backtracks + 1):
+            assert next(calls) == pytest.approx(prev, rel=rtol, abs=0.0), row
+        p_sq, d_sq = row.r_primal_norm**2, row.r_dual_norm**2
+        shrink = (1.0 - params.gamma * row.alpha) ** 2
+        decrease = p_sq + d_sq <= shrink * prev * (1.0 + rtol)
+        assert decrease or (p_sq <= floor and d_sq <= floor), row
+        prev = p_sq + d_sq
+        rtol = 1e-12
+    assert next(calls, None) is None
+    return res
+
+
+def test_every_accepted_step_decreases_against_the_previous_iterate(
+    rng, monkeypatch
+):
+    params = ipm.SolverParams()
+    p, x0 = model.gen_flow([-1, 0, 0, 1, 2, 3, 4], seed=3)
+    res = _check_each_accepted_step(monkeypatch, p, x0, params)
+    assert res.iterations > 10 and res.total_backtracks > 10
+    found = 0
+    for _ in range(30):
+        p, x0 = random_loose_qp(rng, eq_at_interior=True)
+        quadratic = any(
+            c.kind == "quadratic" for sp in p.subproblems for c in sp.inequalities
+        )
+        if quadratic:
+            res = _check_each_accepted_step(monkeypatch, p, x0, params)
+            found += res.iterations > 5 and res.total_backtracks > 0
+    assert found >= 5
+
+
+def test_wrong_shape_start_is_a_format_error():
+    p, x0 = model.gen_flow([-1, 0, 0])
+    for bad in (x0[:-1], np.r_[x0, 0.0]):
+        with pytest.raises(ProblemFormatError, match="x0 must have shape"):
+            ipm.solve(p, x0=bad)
+        with pytest.raises(ProblemFormatError, match="x0 must have shape"):
+            ipm.solve_auto(p, x0=bad)
+
+
+def test_problem_format_is_checked_before_the_start():
+    p, x0 = model.gen_flow([-1, 0, 0])
+    p.subproblems[0].objective.q = np.zeros(p.subproblems[0].dim + 1)
+    with pytest.raises(ProblemFormatError, match="objective dims"):
+        ipm.solve(p)
+    with pytest.raises(ProblemFormatError, match="objective dims"):
+        ipm.solve(p, x0=x0[:-1])
+
+
 # ---------------- full solves ----------------
 
 

@@ -120,7 +120,7 @@ def test_run_log_export(tmp_path):
     net = netsim.Network(tree)
     for i in net.agents:
         net.agents[i].put("val", float(i))
-    net.run_up("gap-partial", lambda env, inbox: env.get("val") + sum(e.payload for e in inbox))
+    net.run_up("residual-partial", lambda env, inbox: env.get("val") + sum(e.payload for e in inbox))
     path = tmp_path / "log.jsonl"
     net.to_jsonl(path)
     events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -128,8 +128,22 @@ def test_run_log_export(tmp_path):
     assert kinds == {"read", "deliver"}
     deliver = [e for e in events if e["type"] == "deliver"]
     assert len(deliver) == 2  # one envelope per non-root agent
-    assert all(e["kind"] == "gap-partial" for e in deliver)
+    assert all(e["kind"] == "residual-partial" for e in deliver)
     assert all(e["dst"] == tree.root for e in deliver)
+
+
+def test_a_logged_solve_delivers_every_envelope_kind():
+    p, x0 = model.gen_flow([-1, 0, 0, 1, 2], seed=4)
+    net = ipm.solve(p, x0=x0).network
+    deliver = [e for e in net.events if e["type"] == "deliver"]
+    assert {e["kind"] for e in deliver} == netsim.ENVELOPE_KINDS
+    # the step bound travels alone; set-up holds the equality push and the
+    # start point's residual pass
+    bounds = [e["payload"] for e in deliver if e["kind"] == "alpha-bound"]
+    assert bounds and all(isinstance(b, float) for b in bounds)
+    setup = {e["kind"] for e in deliver if e["phase"] == "setup"}
+    assert setup == {"eq-constraint-push", "residual-partial"}
+    assert net.half_passes["setup"] == 2
 
 
 def test_run_log_disabled_raises(tmp_path):
