@@ -231,15 +231,6 @@ class CliqueTree:
         }
 
 
-def tree_from_json(doc: Mapping) -> CliqueTree:
-    cliques = [index_set(c) for c in doc["cliques"]]
-    edges = frozenset(_canon(int(i), int(j)) for i, j in doc["edges"])
-    tree = CliqueTree(cliques, edges)
-    if doc.get("root") is not None:
-        tree = _root_at(tree, int(doc["root"]))
-    return tree
-
-
 def _tree_adjacency(tree: CliqueTree) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(tree.q)]
     for i, j in tree.edges:

@@ -60,7 +60,6 @@ from treeipm.model import (
     CoupledProblem,
     Subproblem,
     eval_subproblem,
-    positions,
 )
 
 ALPHA_STALL = 1e-12
@@ -183,17 +182,11 @@ class ConvergenceTrace:
 
 @dataclass
 class CliqueLocal:
-    """Everything one agent needs about its own slice of the problem."""
+    """One agent's slice of the problem: its layout and equality block."""
 
-    index: int
-    clique: chordal.IndexSet
-    sep: chordal.IndexSet
-    sep_pos: np.ndarray
-    elim_pos: np.ndarray
-    subs: list[tuple[int, Subproblem, np.ndarray]]
+    lay: model.CliqueLayout
     eq_A: np.ndarray
     eq_b: np.ndarray
-    child_sep_pos: dict[int, np.ndarray]
 
 
 @dataclass
@@ -216,78 +209,48 @@ class IterateState:
     lam: dict[int, np.ndarray]
 
 
-def _build_locals(
-    p: CoupledProblem, tree: chordal.CliqueTree, a: Assignment
-) -> dict[int, CliqueLocal]:
-    locs: dict[int, CliqueLocal] = {}
-    for i in range(tree.q):
-        clique = tree.cliques[i]
-        par = tree.parent[i]
-        sep = tree.separator(i, par) if par is not None else ()
-        sep_set = set(sep)
-        elim_pos = np.array(
-            [t for t, v in enumerate(clique) if v not in sep_set], dtype=int
-        )
-        subs = [
-            (k, p.subproblems[k], positions(p.subproblems[k].J, clique))
-            for k in a.phi[i]
-        ]
-        eq_A, eq_b = a.local_eq[i]
-        child_sep_pos = {
-            c: positions(tree.separator(c, i), clique) for c in tree.children[i]
-        }
-        locs[i] = CliqueLocal(
-            i,
-            clique,
-            sep,
-            positions(sep, clique),
-            elim_pos,
-            subs,
-            eq_A,
-            eq_b,
-            child_sep_pos,
-        )
-    return locs
-
-
 def prepare(
     p: CoupledProblem,
     tree: chordal.CliqueTree | None = None,
     record_log: bool = False,
 ) -> SolverSetup:
-    """Tree, network, agent assignment and the reduced equality blocks.
+    """Tree, network, agent assignment, layouts and reduced equality blocks.
 
-    Each agent's :class:`CliqueLocal` is built once and stored as ``loc``.
+    Each agent's :class:`CliqueLocal` is built once and stored as ``loc``;
+    its :func:`model.clique_layout` holds every index the passes read.
     The blocks come from the ``eq-constraint-push`` pass, the network's
     first: each agent stacks its rows with those its children pushed up,
     keeps the rows it can pin down over its eliminated variables and
     pushes the rest to its parent over the separator.  The feasible set of
     the stacked system is preserved; an inconsistent system raises at the
-    root.
+    root.  Each reduced block's rank over the eliminated variables is then
+    checked once, in pass order.
     """
     p.validate()
     if tree is None:
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     net = netsim.Network(tree, record_log=record_log)
     raw = model.assign(p, tree)
-    locs = _build_locals(p, tree, raw)
-    for i, loc in locs.items():
-        net.agents[i].put("loc", loc)
+    locs: dict[int, CliqueLocal] = {}
+    for i in range(tree.q):
+        agents = [(k, p.subproblems[k]) for k in raw.phi[i]]
+        locs[i] = CliqueLocal(model.clique_layout(tree, i, agents), *raw.local_eq[i])
+        net.agents[i].put("loc", locs[i])
 
     def pre_up(env: netsim.AgentEnv, inbox):
         loc = env.get("loc")
         blocks_A = [loc.eq_A]
         blocks_b = [loc.eq_b]
         for e in inbox:
-            block = np.zeros((e.payload["A"].shape[0], len(loc.clique)))
-            block[:, loc.child_sep_pos[e.src]] = e.payload["A"]
+            block = np.zeros((e.payload["A"].shape[0], len(loc.lay.clique)))
+            block[:, loc.lay.child_pos[e.src]] = e.payload["A"]
             blocks_A.append(block)
             blocks_b.append(e.payload["b"])
         loc.eq_A, loc.eq_b, push_A, push_b = model.reduce_equality_block(
             np.vstack(blocks_A),
             np.concatenate(blocks_b),
-            loc.elim_pos,
-            loc.sep_pos,
+            loc.lay.zpos,
+            loc.lay.ypos,
             is_root=env.parent is None,
         )
         if env.parent is None:
@@ -295,6 +258,9 @@ def prepare(
         return {"A": push_A, "b": push_b}
 
     net.run_up("eq-constraint-push", pre_up)
+    for level in reversed(net.levels):
+        for i in level:
+            treeqp.check_equality_rank(locs[i].eq_A[:, locs[i].lay.zpos], i)
     local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
     a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
     return SolverSetup(p, tree, a, locs, p.m_total, p.n, net)
@@ -363,12 +329,12 @@ def _clique_qp(
     lam: Mapping[int, np.ndarray],
 ) -> tuple[treeqp.CliqueQpData, dict[int, model.SubproblemEval]]:
     """One clique's barrier KKT piece for the affine (uncentered) step."""
-    d = len(loc.clique)
+    d = len(loc.lay.clique)
     H = np.zeros((d, d))
     r = np.zeros(d)
     evals: dict[int, model.SubproblemEval] = {}
-    for k, sp, pos in loc.subs:
-        ev = eval_subproblem(sp, x[pos])
+    for k, sp, pos, ix, rows in loc.lay.subs:
+        ev = eval_subproblem(sp, rows, x[pos])
         evals[k] = ev
         if ev.g.size and ev.g.max() >= 0:
             raise NotStrictlyFeasibleError(
@@ -377,21 +343,21 @@ def _clique_qp(
             )
         lk = lam[k]
         Hk = ev.hess.copy()
-        for lj, Qj in zip(lk, ev.con_hess):
+        for j, Qj in rows.quad:
             if Qj.any():
-                Hk = Hk + lj * Qj
+                Hk = Hk + lk[j] * Qj
         if ev.g.size:
             Hk = Hk - ev.jac.T @ (ev.jac * (lk / ev.g)[:, None])
             r_cent = -lk * ev.g
             rk = ev.grad + ev.jac.T @ lk + ev.jac.T @ (r_cent / ev.g)
         else:
             rk = ev.grad
-        H[np.ix_(pos, pos)] += Hk
+        H[ix] += Hk
         r[pos] += rk
     if loc.eq_A.shape[0]:
         r += loc.eq_A.T @ v
     beta = loc.eq_b - loc.eq_A @ x
-    return treeqp.CliqueQpData(loc.clique, H, r, loc.eq_A, beta), evals
+    return treeqp.CliqueQpData(loc.lay.clique, H, r, loc.eq_A, beta), evals
 
 
 def _clique_dlam(
@@ -405,7 +371,7 @@ def _clique_dlam(
     """Multiplier direction; ``soc`` is the corrector's second-order term."""
     inv_t = 0.0 if math.isinf(t) else 1.0 / t
     out: dict[int, np.ndarray] = {}
-    for k, sp, pos in loc.subs:
+    for k, _, pos, _, _ in loc.lay.subs:
         ev = evals[k]
         if ev.g.size == 0:
             out[k] = np.zeros(0)
@@ -439,9 +405,9 @@ def _corrector_local(
     for _, pl in children:
         amax = min(amax, pl["alpha"])
         gap += pl["gap"]
-    r = np.zeros((len(loc.clique), 2))
+    r = np.zeros((len(loc.lay.clique), 2))
     soc: dict[int, np.ndarray] = {}
-    for k, sp, pos in loc.subs:
+    for k, _, pos, _, rows in loc.lay.subs:
         ev = evals[k]
         g = ev.g
         if g.size == 0:
@@ -451,12 +417,9 @@ def _corrector_local(
         dxk = dx_aff[pos]
         jdx = ev.jac @ dxk
         dk = (-lk * g - lk * jdx) / g
-        curv = np.array(
-            [
-                0.5 * dxk @ c.Q @ dxk if c.kind == "quadratic" else 0.0
-                for c in sp.inequalities
-            ]
-        )
+        curv = np.zeros(g.size)
+        for j, Q in rows.quad:
+            curv[j] = 0.5 * dxk @ Q @ dxk
         # ratios for lam + a dlam >= 0 and for the positive root of
         # g + a jdx + a^2 curv, the latter in the cancellation-free form
         num = np.concatenate([lk, -2.0 * g])
@@ -491,15 +454,15 @@ def _residual_local(
         "ok": False,
         "p": 0.0,
         "d": 0.0,
-        "push": np.zeros(len(loc.sep)),
+        "push": np.zeros(len(loc.lay.sep)),
         "eta": 0.0,
     }
     if not all(pl["ok"] for _, pl in children):
         return dead
-    w = np.zeros(len(loc.clique))
+    w = np.zeros(len(loc.lay.clique))
     own_eta: list[float] = []
-    for k, sp, pos in loc.subs:
-        ev = eval_subproblem(sp, x[pos])
+    for k, sp, pos, _, rows in loc.lay.subs:
+        ev = eval_subproblem(sp, rows, x[pos])
         if ev.g.size and ev.g.max() >= 0:
             return dead
         w[pos] += ev.grad + (ev.jac.T @ lam[k] if ev.g.size else 0.0)
@@ -513,14 +476,14 @@ def _residual_local(
         p_sq += pl["p"]
         d_sq += pl["d"]
         eta += pl["eta"]
-        w[loc.child_sep_pos[src]] += pl["push"]
+        w[loc.lay.child_pos[src]] += pl["push"]
     own_pr = loc.eq_A @ x - loc.eq_b
     p_sq += float(own_pr @ own_pr)
-    own_w = w[loc.elim_pos]
+    own_w = w[loc.lay.zpos]
     d_sq += float(own_w @ own_w)
     for e in own_eta:
         eta += e
-    return {"ok": True, "p": p_sq, "d": d_sq, "push": w[loc.sep_pos], "eta": eta}
+    return {"ok": True, "p": p_sq, "d": d_sq, "push": w[loc.lay.ypos], "eta": eta}
 
 
 def _accept_test(
@@ -564,9 +527,9 @@ class SolveResult:
         locs = self.setup.locals
         for c, loc in locs.items():
             par = self.setup.tree.parent[c]
-            if par is not None and loc.sep:
-                a = self.x_clique[c][loc.sep_pos]
-                b = self.x_clique[par][locs[par].child_sep_pos[c]]
+            if par is not None and loc.lay.sep:
+                a = self.x_clique[c][loc.lay.ypos]
+                b = self.x_clique[par][locs[par].lay.child_pos[c]]
                 worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
@@ -611,7 +574,8 @@ def solve(
         env = net.agents[i]
         loc = setup.locals[i]
         if watched:
-            env.put("watch", [t for t in loc.elim_pos if loc.clique[t] in watched])
+            lay = loc.lay
+            env.put("watch", [t for t, u in zip(lay.zpos, lay.elim) if u in watched])
         env.put("x", state.x[i])
         env.put("v", state.v[i])
         env.put("lam", {k: state.lam[k] for k in setup.assignment.phi[i]})
@@ -630,7 +594,7 @@ def solve(
         data, evals = _clique_qp(loc, env.get("x"), env.get("v"), env.get("lam"))
         env.put("evals", evals)
         msg, rec = treeqp.eliminate(
-            data, [e.payload for e in inbox], loc.sep, clique_index=env.id
+            loc.lay, data, [(e.src, e.payload) for e in inbox]
         )
         env.put("rec", rec)
         env.count_factorization()
@@ -641,7 +605,7 @@ def solve(
         y = envelope.payload if envelope is not None else np.zeros(0)
         aff = treeqp.recover_clique(env.get("rec"), y)
         env.put("aff", aff)
-        return {c: aff[0][loc.child_sep_pos[c]] for c in env.children}
+        return {c: aff[0][loc.lay.child_pos[c]] for c in env.children}
 
     def corr_up(env, inbox):
         loc = env.get("loc")
@@ -653,9 +617,11 @@ def solve(
             env.get("aff")[0],
             [(e.src, e.payload) for e in inbox],
         )
-        q, h1, h2 = treeqp.eliminate_rhs(rec, r, [e.payload["msg"] for e in inbox])
+        q, h1, h2 = treeqp.eliminate_rhs(
+            rec, r, [(e.src, e.payload["msg"]) for e in inbox]
+        )
         env.put("corr", (h1, h2, soc))
-        return {**agg, "msg": (loc.sep, q)}
+        return {**agg, "msg": q}
 
     def corr_down(env, envelope):
         loc = env.get("loc")
@@ -675,7 +641,7 @@ def solve(
             "dlam", _clique_dlam(loc, env.get("evals"), env.get("lam"), dx, t, soc)
         )
         return {
-            c: {"t": t, "y": dx_c[loc.child_sep_pos[c]]} for c in env.children
+            c: {"t": t, "y": dx_c[loc.lay.child_pos[c]]} for c in env.children
         }
 
     def bound_up(env, inbox):
@@ -785,9 +751,8 @@ def solve(
         lam_out.update(net.agents[i].get("lam"))
     x_global = np.zeros(p.n)
     for i in range(tree.q):
-        loc = setup.locals[i]
-        owned = [loc.clique[t] for t in loc.elim_pos]
-        x_global[owned] = x_clique[i][loc.elim_pos]
+        lay = setup.locals[i].lay
+        x_global[list(lay.elim)] = x_clique[i][lay.zpos]
     report = netsim.accounting(net, iterations, total_backtracks, strict=True)
     return SolveResult(
         x=x_global,
@@ -877,7 +842,7 @@ def phase_one(
             cons.append(model.Constraint("affine", a, -eps_slack))
         P = np.diag(np.r_[np.full(d, PHASE_ONE_PROX), np.zeros(sp.m)])
         subs.append(Subproblem(scope, model.QuadraticForm(P, qvec), cons))
-    aux = CoupledProblem(n + m_total, subs).validate()
+    aux = CoupledProblem(n + m_total, subs)  # validated by solve's prepare
 
     s0 = np.empty(m_total)
     pos = 0
@@ -945,7 +910,8 @@ def split_components(p: CoupledProblem) -> list[Component]:
         subs = [copy.deepcopy(p.subproblems[k]) for k in sub_ids]
         for sp in subs:
             sp.J = tuple(var_map[v] for v in sp.J)
-        sub_p = CoupledProblem(len(comp), subs).validate()
+        # copied from the validated p; phase_one or prepare validates it next
+        sub_p = CoupledProblem(len(comp), subs)
         out.append(Component(list(comp), sub_ids, sub_p))
     return out
 

@@ -1,10 +1,12 @@
-"""Problem containers, agent assignment, equality preprocessing, benchmarks.
+"""Problem containers, agent assignment, clique layouts, equality
+preprocessing, benchmarks.
 
 A coupled problem is a list of subproblems, each owning a scope ``J`` of
 global variable indices, a convex quadratic objective, convex inequality
 constraints and affine equality constraints, all expressed over the local
 scope.  Subproblems become agents; agents are grouped onto the cliques of
-a chordal embedding of the shared-variable graph.
+a chordal embedding of the shared-variable graph, and each clique's index
+data is laid out once, before any iteration.
 """
 
 from __future__ import annotations
@@ -120,11 +122,6 @@ class Constraint:
             return self.a.copy()
         return self.Q @ x + self.a
 
-    def hess(self, dim: int) -> np.ndarray:
-        if self.kind == "affine":
-            return np.zeros((dim, dim))
-        return self.Q
-
     def validate(self, dim: int, label: str) -> None:
         if self.kind not in ("affine", "quadratic"):
             raise ProblemFormatError(f"{label}: unknown constraint kind {self.kind!r}")
@@ -188,33 +185,46 @@ class Subproblem:
 
 
 @dataclass
+class InequalityRows:
+    """A subproblem's inequalities stacked: ``g(x) = A x + b``, plus
+    ``0.5 x'Q x`` on each row ``j`` that ``quad`` lists as ``(j, Q)``."""
+
+    A: np.ndarray
+    b: np.ndarray
+    quad: list[tuple[int, np.ndarray]]
+
+
+def stack_inequalities(sp: Subproblem) -> InequalityRows:
+    cons = sp.inequalities
+    return InequalityRows(
+        np.array([c.a for c in cons]).reshape(len(cons), sp.dim),
+        np.array([c.b for c in cons]),
+        [(j, c.Q) for j, c in enumerate(cons) if c.kind == "quadratic"],
+    )
+
+
+@dataclass
 class SubproblemEval:
     """Objective and constraint data of one agent at a local point."""
 
-    f: float
     grad: np.ndarray
     hess: np.ndarray
     g: np.ndarray
     jac: np.ndarray
-    con_hess: list[np.ndarray]
 
 
-def eval_subproblem(sp: Subproblem, x_local: np.ndarray) -> SubproblemEval:
-    x_local = np.asarray(x_local, dtype=float)
-    d = sp.dim
-    g = np.array([c.value(x_local) for c in sp.inequalities])
-    jac = (
-        np.vstack([c.grad(x_local) for c in sp.inequalities])
-        if sp.inequalities
-        else np.zeros((0, d))
-    )
+def eval_subproblem(
+    sp: Subproblem, rows: InequalityRows, x_local: np.ndarray
+) -> SubproblemEval:
+    """``sp`` at ``x_local`` from its stacked ``rows``; each row's value and
+    gradient are bitwise those of :class:`Constraint`'s ``value`` and ``grad``."""
+    g = np.vecdot(rows.A, x_local)
+    jac = rows.A.copy()
+    for j, Q in rows.quad:
+        g[j] += 0.5 * x_local @ Q @ x_local
+        jac[j] = Q @ x_local + rows.A[j]
     return SubproblemEval(
-        f=sp.objective.value(x_local),
-        grad=sp.objective.grad(x_local),
-        hess=sp.objective.P,
-        g=g,
-        jac=jac,
-        con_hess=[c.hess(d) for c in sp.inequalities],
+        grad=sp.objective.grad(x_local), hess=sp.objective.P, g=g + rows.b, jac=jac
     )
 
 
@@ -331,6 +341,58 @@ def _stack_local_eq(
         rows.append(block)
         rhs.append(sp.eq_b)
     return np.vstack(rows), np.concatenate(rhs)
+
+
+# ------------------ per-clique layout ------------------
+
+
+@dataclass
+class CliqueLayout:
+    """The static index data of one clique, fixed with the rooted tree.
+
+    ``zpos`` and ``ypos`` locate the eliminated and the separator variables
+    in the clique, ``child_pos[c]`` the separator of child ``c``; ``zz``,
+    ``zy``, ``yy`` and ``child_ix[c]`` are the matching ``np.ix_`` tuples.
+    ``subs`` holds ``(k, sp, pos, ix, rows)`` for each subproblem on the
+    clique: its scope positions, their ``np.ix_`` tuple and its stacked
+    inequality rows.
+    """
+
+    index: int
+    clique: IndexSet
+    sep: IndexSet
+    elim: IndexSet
+    zpos: np.ndarray
+    ypos: np.ndarray
+    zz: tuple
+    zy: tuple
+    yy: tuple
+    child_pos: dict[int, np.ndarray]
+    child_ix: dict[int, tuple]
+    subs: list[tuple[int, Subproblem, np.ndarray, tuple, InequalityRows]]
+
+
+def clique_layout(
+    tree: CliqueTree, i: int, agents: Sequence[tuple[int, Subproblem]] = ()
+) -> CliqueLayout:
+    """Clique ``i``'s layout, hosting the ``(k, subproblem)`` pairs ``agents``."""
+    clique = tree.cliques[i]
+    par = tree.parent[i]
+    sep = tree.separator(i, par) if par is not None else ()
+    sep_set = set(sep)
+    elim = tuple(v for v in clique if v not in sep_set)
+    zpos = positions(elim, clique)
+    ypos = positions(sep, clique)
+    child_pos = {c: positions(tree.separator(c, i), clique) for c in tree.children[i]}
+    subs = []
+    for k, sp in agents:
+        pos = positions(sp.J, clique)
+        subs.append((k, sp, pos, np.ix_(pos, pos), stack_inequalities(sp)))
+    return CliqueLayout(
+        i, clique, sep, elim, zpos, ypos,
+        np.ix_(zpos, zpos), np.ix_(zpos, ypos), np.ix_(ypos, ypos),
+        child_pos, {c: np.ix_(pos, pos) for c, pos in child_pos.items()}, subs,
+    )
 
 
 # ------------------ equality preprocessing ------------------

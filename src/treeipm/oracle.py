@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from treeipm import chordal, ipm, treeqp
+from treeipm import chordal, ipm, model, treeqp
 from treeipm.errors import (
     EliminationError,
     LineSearchStallError,
@@ -28,7 +28,7 @@ from treeipm.ipm import (
     _next_t,
     _step_scale,
 )
-from treeipm.model import Assignment, CoupledProblem, eval_subproblem, positions
+from treeipm.model import Assignment, CoupledProblem, eval_subproblem
 
 
 @dataclass
@@ -60,16 +60,17 @@ def assemble_global(
     inv_t = 0.0 if math.isinf(t) else 1.0 / t
     for k, sp in enumerate(p.subproblems):
         cols = list(sp.J)
-        ev = eval_subproblem(sp, x[cols])
+        rows = model.stack_inequalities(sp)
+        ev = eval_subproblem(sp, rows, x[cols])
         if ev.g.size and ev.g.max() >= 0:
             raise NotStrictlyFeasibleError(
                 f"point is not strictly feasible for subproblem {k}"
             )
         lk = lam[k]
         Hk = ev.hess.copy()
-        for lj, Qj in zip(lk, ev.con_hess):
+        for j, Qj in rows.quad:
             if Qj.any():
-                Hk = Hk + lj * Qj
+                Hk = Hk + lk[j] * Qj
         if ev.g.size:
             Hk = Hk - ev.jac.T @ (ev.jac * (lk / ev.g)[:, None])
             r_cent = _r_cent(lk, ev.g, inv_t, soc, k)
@@ -160,7 +161,7 @@ def newton_direction(
     inv_t = 0.0 if math.isinf(t) else 1.0 / t
     dlam: dict[int, np.ndarray] = {}
     for k, sp in enumerate(p.subproblems):
-        ev = eval_subproblem(sp, x[list(sp.J)])
+        ev = eval_subproblem(sp, model.stack_inequalities(sp), x[list(sp.J)])
         if ev.g.size == 0:
             dlam[k] = np.zeros(0)
             continue
@@ -182,7 +183,7 @@ def dual_residual(
     w = np.zeros(p.n)
     for k, sp in enumerate(p.subproblems):
         cols = list(sp.J)
-        ev = eval_subproblem(sp, x[cols])
+        ev = eval_subproblem(sp, model.stack_inequalities(sp), x[cols])
         w[cols] += ev.grad + (ev.jac.T @ lam[k] if ev.g.size else 0.0)
     for i in range(tree.q):
         Ai, _ = a.local_eq[i]
@@ -208,8 +209,7 @@ def surrogate_gap(
 ) -> float:
     total = 0.0
     for k, sp in enumerate(p.subproblems):
-        xl = x[list(sp.J)]
-        g = np.array([c.value(xl) for c in sp.inequalities])
+        g = eval_subproblem(sp, model.stack_inequalities(sp), x[list(sp.J)]).g
         total += float(-(lam[k] @ g))
     return total
 
@@ -240,12 +240,15 @@ def mehrotra_direction(
     soc = {}
     for k, sp in enumerate(p.subproblems):
         cols = list(sp.J)
-        ev = eval_subproblem(sp, x[cols])
+        rows = model.stack_inequalities(sp)
+        ev = eval_subproblem(sp, rows, x[cols])
         if not ev.g.size:
             soc[k] = np.zeros(0)
             continue
         jdx = ev.jac @ dx[cols]
-        curv = np.array([0.5 * dx[cols] @ Q @ dx[cols] for Q in ev.con_hess])
+        curv = np.zeros(sp.m)
+        for j, Q in rows.quad:
+            curv[j] = 0.5 * dx[cols] @ Q @ dx[cols]
         for j, lj in enumerate(lam[k]):
             if dlam[k][j] < 0:
                 alpha_aff = min(alpha_aff, -lj / dlam[k][j])

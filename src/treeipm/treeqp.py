@@ -14,7 +14,10 @@ matrix with a fixed, tree-structured pivot order.
 Each clique keeps the factors of its pivot block, so a further system with
 the same matrix and new linear terms needs no factorization: an upward
 sweep of :func:`eliminate_rhs` and a downward sweep of
-:func:`recover_clique` with the offsets it returned.
+:func:`recover_clique` with the offsets it returned.  Every function reads
+the clique's index data from its :class:`~treeipm.model.CliqueLayout`,
+built once per tree; the equality rows' rank is checked once per clique by
+:func:`check_equality_rank`, before any elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from scipy.linalg import lapack
 
 from treeipm.chordal import CliqueTree, IndexSet
 from treeipm.errors import EliminationError
-from treeipm.model import positions
+from treeipm.model import CliqueLayout, clique_layout
 
 EQ_RANK_TOL = 1e-10
 SOLVE_BACKWARD_TOL = 1e-8
@@ -40,34 +43,6 @@ def backward_ok(M: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> bool:
         return False
     scale = np.linalg.norm(M) * np.linalg.norm(sol) + np.linalg.norm(rhs) + 1.0
     return np.linalg.norm(M @ sol - rhs) <= SOLVE_BACKWARD_TOL * scale
-
-
-def nullspace_condition(Q_zz: np.ndarray, A_z: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when the elimination block ``[[Q_zz, A_z'], [A_z, 0]]`` is regular.
-
-    Holds exactly when ``A_z`` has full row rank and ``Q_zz`` is positive
-    definite on the nullspace of ``A_z``.
-    """
-    Q_zz = np.atleast_2d(np.asarray(Q_zz, dtype=float))
-    A_z = np.asarray(A_z, dtype=float)
-    if A_z.size == 0:
-        A_z = A_z.reshape(0, Q_zz.shape[0] if Q_zz.size else 0)
-    nz = Q_zz.shape[0] if Q_zz.size else A_z.shape[1]
-    p = A_z.shape[0]
-    if p > nz:
-        return False
-    if p > 0:
-        s = np.linalg.svd(A_z, compute_uv=False)
-        if s.size < p or s[p - 1] <= tol * max(1.0, s[0]):
-            return False
-        basis = scipy.linalg.null_space(A_z)
-    else:
-        basis = np.eye(nz)
-    if basis.shape[1] == 0:
-        return True
-    reduced = basis.T @ Q_zz @ basis
-    w = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    return bool(w[0] > tol * max(1.0, abs(w[-1])))
 
 
 @dataclass
@@ -108,22 +83,25 @@ class QuadraticMessage:
 class EliminationRecord:
     """Back-substitution data kept by one clique after its elimination."""
 
-    clique_index: int
-    clique: IndexSet
-    sep: IndexSet
-    elim: IndexSet
+    lay: CliqueLayout
     H1: np.ndarray
     H2: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     O: np.ndarray
     message: QuadraticMessage
-    zpos: np.ndarray
-    ypos: np.ndarray
     factor: tuple[np.ndarray, np.ndarray] | np.ndarray | None
     """Factors of ``O``: symmetric-indefinite ``(ldu, ipiv)``, or the
     pseudo-inverse when symmetric pivoting failed the backward-error check;
     ``None`` for an empty block."""
+
+    @property
+    def sep(self) -> IndexSet:
+        return self.lay.sep
+
+    @property
+    def elim(self) -> IndexSet:
+        return self.lay.elim
 
 
 def _factor_solve(
@@ -134,56 +112,53 @@ def _factor_solve(
     return factor @ rhs
 
 
-def eliminate(
-    data: CliqueQpData,
-    child_msgs: list[QuadraticMessage],
-    sep: IndexSet,
-    clique_index: int = -1,
-) -> tuple[QuadraticMessage, EliminationRecord]:
-    """Fold child messages into one clique and eliminate its private part.
-
-    ``sep`` names the variables shared with the parent (empty at the
-    root).  Returns the message for the parent plus the record needed to
-    recover the local minimiser once the separator values arrive.
-    """
-    clique = data.clique
-    H = data.H.copy()
-    r = data.r.copy()
-    c = data.c
-    for msg in child_msgs:
-        pos = positions(msg.sep, clique)
-        H[np.ix_(pos, pos)] += msg.Q
-        r[pos] += msg.q
-        c += msg.c
-
-    sep_set = set(sep)
-    elim = tuple(v for v in clique if v not in sep_set)
-    zpos = positions(elim, clique)
-    ypos = positions(sep, clique)
-    nz, ny, p = len(elim), len(sep), data.A.shape[0]
-
-    Qzz = H[np.ix_(zpos, zpos)]
-    Qzy = H[np.ix_(zpos, ypos)]
-    Qyy = H[np.ix_(ypos, ypos)]
-    qz = r[zpos]
-    qy = r[ypos]
-    Az = data.A[:, zpos]
-    Ay = data.A[:, ypos]
-
-    O = np.zeros((nz + p, nz + p))
-    O[:nz, :nz] = Qzz
-    O[:nz, nz:] = Az.T
-    O[nz:, :nz] = Az
-
-    # The equality rows are never barrier-scaled, so a rank drop there is
-    # structural (redundant rows), not stiffness.
+def check_equality_rank(A_z: np.ndarray, clique_index: int) -> None:
+    """Require full row rank of the equality rows ``A_z`` over a clique's
+    eliminated variables.  They are never barrier-scaled, so a rank drop is
+    structural (redundant rows), and one check before the first
+    elimination covers every iteration."""
+    p = A_z.shape[0]
     if p > 0:
-        s = np.linalg.svd(Az, compute_uv=False)
+        s = np.linalg.svd(A_z, compute_uv=False)
         if s.size < p or s[min(p, s.size) - 1] <= EQ_RANK_TOL * max(1.0, s[0]):
             raise EliminationError(
                 f"clique {clique_index}: equality block is rank deficient "
                 "over the eliminated variables; preprocessing required"
             )
+
+
+def eliminate(
+    lay: CliqueLayout,
+    data: CliqueQpData,
+    child_msgs: list[tuple[int, QuadraticMessage]],
+) -> tuple[QuadraticMessage, EliminationRecord]:
+    """Fold child messages into one clique and eliminate its private part.
+
+    ``child_msgs`` holds ``(child, message)`` pairs.  Returns the message
+    for the parent plus the record needed to recover the local minimiser
+    once the separator values arrive.
+    """
+    H = data.H.copy()
+    r = data.r.copy()
+    c = data.c
+    for child, msg in child_msgs:
+        H[lay.child_ix[child]] += msg.Q
+        r[lay.child_pos[child]] += msg.q
+        c += msg.c
+
+    nz, ny, p = len(lay.zpos), len(lay.ypos), data.A.shape[0]
+    Qzz = H[lay.zz]
+    Qzy = H[lay.zy]
+    Qyy = H[lay.yy]
+    qz = r[lay.zpos]
+    qy = r[lay.ypos]
+    Az = data.A[:, lay.zpos]
+    Ay = data.A[:, lay.ypos]
+
+    O = np.zeros((nz + p, nz + p))
+    O[:nz, :nz] = Qzz
+    O[:nz, nz:] = Az.T
+    O[nz:, :nz] = Az
 
     if O.size:
         rhs = np.zeros((nz + p, ny + 1))
@@ -209,13 +184,13 @@ def eliminate(
                 sol = retry
             elif sol is None:
                 raise EliminationError(
-                    f"clique {clique_index}: singular elimination block; "
+                    f"clique {lay.index}: singular elimination block; "
                     "positive definiteness on the equality nullspace is violated"
                 )
             else:
                 resid = np.linalg.norm(O @ sol - rhs)
                 raise EliminationError(
-                    f"clique {clique_index}: elimination solve failed its "
+                    f"clique {lay.index}: elimination solve failed its "
                     f"backward error check ({resid:.3e}); the block is "
                     "numerically singular"
                 )
@@ -237,37 +212,34 @@ def eliminate(
     qt = qy + H1.T @ qz - H2.T @ data.beta
     ct = c + 0.5 * h1 @ Qzz @ h1 + qz @ h1
 
-    msg = QuadraticMessage(tuple(sep), Qt, qt, float(ct))
-    rec = EliminationRecord(
-        clique_index, clique, tuple(sep), elim, H1, H2, h1, h2, O, msg,
-        zpos, ypos, factor,
-    )
-    return msg, rec
+    msg = QuadraticMessage(lay.sep, Qt, qt, float(ct))
+    return msg, EliminationRecord(lay, H1, H2, h1, h2, O, msg, factor)
 
 
 def eliminate_rhs(
     rec: EliminationRecord,
     r: np.ndarray,
-    child_msgs: list[tuple[IndexSet, np.ndarray]],
+    child_msgs: list[tuple[int, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eliminate one clique again for a new linear term, reusing its factors.
 
     ``r`` is the clique's new linear term, with the equality right-hand
     side zero; a second axis carries several right-hand sides at once.
-    ``child_msgs`` holds each child's ``(sep, q)`` as returned here.  The
+    ``child_msgs`` holds ``(child, q)`` pairs, ``q`` as returned here.  The
     quadratic part of every message is unchanged, so only the linear term
     ``q`` of the parent message is returned, together with the offsets
     ``(h1, h2)`` that :func:`recover_clique` takes.  Nothing is factorized.
     """
+    lay = rec.lay
     r = np.array(r, dtype=float)
-    for sep, q in child_msgs:
-        r[positions(sep, rec.clique)] += q
-    qz = r[rec.zpos]
+    for child, q in child_msgs:
+        r[lay.child_pos[child]] += q
+    qz = r[lay.zpos]
     rhs = np.concatenate([-qz, np.zeros((rec.H2.shape[0],) + r.shape[1:])])
     sol = _factor_solve(rec.factor, rhs) if rhs.size else rhs
-    nz = len(rec.elim)
+    nz = len(lay.zpos)
     # the message's linear term qy + H1'qz - H2'beta with beta = 0
-    return r[rec.ypos] + rec.H1.T @ qz, sol[:nz], sol[nz:]
+    return r[lay.ypos] + rec.H1.T @ qz, sol[:nz], sol[nz:]
 
 
 def upward_pass(
@@ -277,17 +249,17 @@ def upward_pass(
 
     Returns the messages keyed by sending clique (one per non-root
     clique) and the per-clique records.  Child messages fold in ascending
-    child index order.
+    child index order.  Each clique's equality rank is checked before it
+    is eliminated.
     """
     messages: dict[int, QuadraticMessage] = {}
     records: dict[int, EliminationRecord] = {}
     for i in tree.post_order():
-        par = tree.parent[i]
-        sep = tree.separator(i, par) if par is not None else ()
-        child_msgs = [messages[k] for k in tree.children[i]]
-        msg, rec = eliminate(data[i], child_msgs, sep, clique_index=i)
-        records[i] = rec
-        if par is not None:
+        lay = clique_layout(tree, i)
+        check_equality_rank(data[i].A[:, lay.zpos], i)
+        child_msgs = [(k, messages[k]) for k in tree.children[i]]
+        msg, records[i] = eliminate(lay, data[i], child_msgs)
+        if tree.parent[i] is not None:
             messages[i] = msg
     return messages, records
 
@@ -306,9 +278,9 @@ def recover_clique(
     h1, h2 = (rec.h1, rec.h2) if offsets is None else offsets
     dz = rec.H1 @ y + h1
     dv = rec.H2 @ y + h2
-    dx = np.zeros((len(rec.clique),) + dz.shape[1:])
-    dx[rec.zpos] = dz
-    dx[rec.ypos] = y
+    dx = np.zeros((len(rec.lay.clique),) + dz.shape[1:])
+    dx[rec.lay.zpos] = dz
+    dx[rec.lay.ypos] = y
     return dx, dv
 
 
@@ -324,16 +296,15 @@ def downward_pass(
     """
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i in reversed(tree.post_order()):
-        rec = records[i]
-        if tree.parent[i] is None:
+        par = tree.parent[i]
+        if par is None:
             if root_solution is not None:
                 out[i] = root_solution
                 continue
             y = np.zeros(0)
         else:
-            parent_dx = out[tree.parent[i]][0]
-            y = parent_dx[positions(rec.sep, tree.cliques[tree.parent[i]])]
-        out[i] = recover_clique(rec, y)
+            y = out[par][0][records[par].lay.child_pos[i]]
+        out[i] = recover_clique(records[i], y)
     return out
 
 

@@ -194,15 +194,6 @@ def test_levels_partition_by_depth():
     assert sorted(i for level in levels for i in level) == list(range(tree.q))
 
 
-def test_tree_json_round_trip():
-    _, _, tree = chordal.clique_tree_for(SCOPES, N_VARS)
-    doc = tree.to_json_dict()
-    back = chordal.tree_from_json(doc)
-    assert back.cliques == tree.cliques
-    assert back.edges == tree.edges
-    assert back.root == tree.root
-
-
 # ---------------- worked example: separators and side sets ----------------
 
 

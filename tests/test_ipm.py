@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from treeipm import ipm, model, oracle
+from treeipm import chordal, ipm, model, netsim, oracle, treeqp
 from treeipm.errors import (
     InfeasibleProblemError,
     LineSearchStallError,
@@ -366,6 +366,46 @@ def test_solve_stops_when_watched_variables_are_negative():
     assert full.converged and full.iterations > 1
 
 
+def test_iteration_does_no_layout_work(rng, monkeypatch):
+    # the layout, the stacked rows and the equality rank check are built in
+    # prepare; once it returns, no pass looks up positions or takes an SVD
+    armed = [False]
+
+    def guard(fn):
+        def call(*args, **kwargs):
+            if armed[0]:
+                raise AssertionError(f"{fn.__name__} called after prepare")
+            return fn(*args, **kwargs)
+
+        return call
+
+    for mod in (chordal, model, netsim, treeqp, ipm, oracle):
+        if hasattr(mod, "positions"):
+            monkeypatch.setattr(mod, "positions", guard(mod.positions))
+    monkeypatch.setattr(np.linalg, "svd", guard(np.linalg.svd))
+    prepare = ipm.prepare
+
+    def prepare_then_arm(*args, **kwargs):
+        armed[0] = False
+        setup = prepare(*args, **kwargs)
+        armed[0] = True
+        return setup
+
+    monkeypatch.setattr(ipm, "prepare", prepare_then_arm)
+    flow, x_flow = model.gen_flow([-1, 0, 0, 1, 2, 3, 4], seed=0)
+    while True:
+        loose, x_loose = random_loose_qp(rng, eq_at_interior=True)
+        kinds = {c.kind for sp in loose.subproblems for c in sp.inequalities}
+        if loose.p_total and "quadratic" in kinds:
+            break
+    for p, x0 in ((flow, x_flow), (loose, x_loose)):
+        armed[0] = False
+        r = ipm.solve(p, x0=x0)
+        assert armed[0] and r.converged and r.iterations > 1
+    # nor allocates a Hessian per constraint
+    assert not hasattr(model.Constraint, "hess")
+
+
 def test_phase_one_certifies_infeasibility():
     p = box_problem(1.0, -1.0)  # x <= -1 and x >= 1
     with pytest.raises(InfeasibleProblemError) as exc:
@@ -418,6 +458,33 @@ def test_solve_auto_handles_components():
     # phase one ran only where the origin was infeasible
     infos = [r.phase_one for r in runs]
     assert any(i is not None for i in infos)
+
+
+def test_solve_auto_validates_each_problem_once(monkeypatch):
+    # two components, each started by phase one's auxiliary solve: the input
+    # is checked once, then each component by phase one, the auxiliary
+    # problem by its prepare and the component by the main solve's prepare
+    box = [
+        model.Constraint("affine", np.array([1.0]), -3.0),
+        model.Constraint("affine", np.array([-1.0]), 1.0),
+    ]
+    subs = [
+        model.Subproblem((j,), model.QuadraticForm(np.eye(1), np.zeros(1)), box)
+        for j in (0, 1)
+    ]
+    p = model.CoupledProblem(2, subs).validate()
+    calls = []
+    validate = model.CoupledProblem.validate
+
+    def counted(self):
+        calls.append(self.n)
+        return validate(self)
+
+    monkeypatch.setattr(model.CoupledProblem, "validate", counted)
+    runs = ipm.solve_auto(p)
+    assert [r.phase_one.pre_check for r in runs] == [False, False]
+    assert all(r.result.converged for r in runs)
+    assert len(calls) == 1 + 2 * 3
 
 
 def test_solve_auto_uses_given_start_where_feasible():

@@ -58,13 +58,11 @@ def test_constraint_values_and_derivatives(rng):
     aff = model.Constraint("affine", a, 0.4)
     assert np.isclose(aff.value(x), a @ x + 0.4)
     assert np.allclose(aff.grad(x), a)
-    assert np.allclose(aff.hess(d), np.zeros((d, d)))
     m = rng.normal(size=(d, d))
     Q = m.T @ m
     quad = model.Constraint("quadratic", a, -0.2, Q=Q)
     assert np.isclose(quad.value(x), 0.5 * x @ Q @ x + a @ x - 0.2)
     assert np.allclose(quad.grad(x), num_grad(quad.value, x), atol=1e-5)
-    assert np.allclose(quad.hess(d), Q)
 
 
 def test_constraint_validation_errors():
@@ -135,16 +133,27 @@ def test_validate_rejects_bad_problems():
 
 
 def test_eval_subproblem_matches_pieces(rng):
-    p = small_problem()
-    sp = p.subproblems[1]
-    x = rng.normal(size=2)
-    ev = model.eval_subproblem(sp, x)
-    assert np.isclose(ev.f, sp.objective.value(x))
-    assert np.allclose(ev.grad, sp.objective.grad(x))
-    assert np.allclose(ev.hess, sp.objective.P)
-    assert np.allclose(ev.g, [c.value(x) for c in sp.inequalities])
-    assert np.allclose(ev.jac, np.vstack([c.grad(x) for c in sp.inequalities]))
-    assert len(ev.con_hess) == sp.m
+    # the stacked rows give each constraint's value and gradient bit for bit
+    d = 4
+    m = rng.normal(size=(d, d))
+    mixed = [
+        model.Constraint("affine", rng.normal(size=d), 0.3),
+        model.Constraint("quadratic", rng.normal(size=d), -1.1, Q=m.T @ m),
+        model.Constraint("affine", rng.normal(size=d), -0.7),
+        model.Constraint("quadratic", rng.normal(size=d), 0.2, Q=np.zeros((d, d))),
+    ]
+    objective = model.QuadraticForm(np.eye(d), rng.normal(size=d))
+    # a mix of kinds, a quadratic row whose Q is zero, no inequalities
+    for cons in (mixed, [mixed[3]], []):
+        sp = model.Subproblem((0, 2, 3, 5), objective, cons)
+        for _ in range(20):
+            x = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
+            ev = model.eval_subproblem(sp, model.stack_inequalities(sp), x)
+            assert np.allclose(ev.grad, sp.objective.grad(x))
+            assert np.allclose(ev.hess, sp.objective.P)
+            assert np.array_equal(ev.g, np.array([c.value(x) for c in cons]))
+            jac = np.vstack([c.grad(x) for c in cons]) if cons else np.zeros((0, d))
+            assert np.array_equal(ev.jac, jac)
 
 
 # ---------------- assignment ----------------

@@ -92,7 +92,7 @@ def test_newton_direction_solves_linearized_kkt(rng):
     assert np.allclose(kkt.A @ dx, -kkt.r_pri, atol=1e-7)
     # multiplier rows: diag(lam) Dg dx + diag(g) dlam = -lam g - 1/t
     for k, sp in enumerate(p.subproblems):
-        ev = model.eval_subproblem(sp, x0[list(sp.J)])
+        ev = model.eval_subproblem(sp, model.stack_inequalities(sp), x0[list(sp.J)])
         if not ev.g.size:
             continue
         lhs = lam[k] * (ev.jac @ dx[list(sp.J)]) + ev.g * dlam[k]

@@ -8,9 +8,14 @@ import scipy.linalg
 
 from treeipm import treeqp
 from treeipm.errors import EliminationError
-from treeipm.model import positions
+from treeipm.model import clique_layout
 
 from conftest import make_rooted_tree, random_tree_qp
+
+
+def layout(cliques, parents, i=1):
+    """Layout of clique ``i`` of the tree with these cliques and parents."""
+    return clique_layout(make_rooted_tree(cliques, parents), i)
 
 
 def dense_kkt(tree, data, n):
@@ -62,7 +67,7 @@ def test_single_clique_elimination_by_hand():
         A=np.array([[1.0, 1.0]]),
         beta=np.array([1.0]),
     )
-    msg, rec = treeqp.eliminate(data, [], sep=(0,))
+    msg, rec = treeqp.eliminate(layout([(0,), (0, 1)], [-1, 0]), data, [])
     assert np.allclose(rec.O, [[1.0, 1.0], [1.0, 0.0]])
     assert np.allclose(rec.H1, [[-1.0]])
     assert np.allclose(rec.H2, [[1.0]])
@@ -90,7 +95,8 @@ def test_message_folds_children_before_eliminating():
         beta=np.zeros(0),
     )
     child = treeqp.QuadraticMessage((1,), np.array([[3.0]]), np.array([0.5]), 0.25)
-    msg, rec = treeqp.eliminate(data, [child], sep=(0,))
+    lay = layout([(0,), (0, 1), (1,)], [-1, 0, 1])
+    msg, rec = treeqp.eliminate(lay, data, [(2, child)])
     # eliminating z from 0.5*(1+3) z^2 + (-1+0.5) z gives value -0.5^2/8
     assert np.isclose(msg.c, 0.25 - 0.5**2 / (2 * 4.0))
     assert np.allclose(msg.Q, [[2.0]])
@@ -163,7 +169,7 @@ def rhs_sweep(tree, records, r):
     """Upward sweep of eliminate_rhs, then the downward pass with its offsets."""
     q, offsets = {}, {}
     for i in tree.post_order():
-        kids = [(records[c].sep, q[c]) for c in tree.children[i]]
+        kids = [(c, q[c]) for c in tree.children[i]]
         q[i], h1, h2 = treeqp.eliminate_rhs(records[i], r[i], kids)
         offsets[i] = (h1, h2)
     sols = {}
@@ -173,7 +179,7 @@ def rhs_sweep(tree, records, r):
         y = (
             np.zeros((0,) + r[i].shape[1:])
             if par is None
-            else sols[par][0][positions(rec.sep, tree.cliques[par])]
+            else sols[par][0][records[par].lay.child_pos[i]]
         )
         sols[i] = treeqp.recover_clique(rec, y, offsets[i])
     return q, sols
@@ -222,7 +228,7 @@ def test_rhs_sweep_reuses_least_squares_fallback():
         A=np.zeros((0, 2)),
         beta=np.zeros(0),
     )
-    _, rec = treeqp.eliminate(data, [], sep=(1,))
+    _, rec = treeqp.eliminate(layout([(1,), (0, 1)], [-1, 0]), data, [])
     assert not isinstance(rec.factor, tuple)
     q, h1, h2 = treeqp.eliminate_rhs(rec, np.array([0.0, 2.0]), [])
     assert np.allclose(q, [2.0]) and np.allclose(h1, 0.0) and h2.size == 0
@@ -239,23 +245,7 @@ def test_block_ldl_check_near_zero(rng):
 # ---------------- degeneracy handling ----------------
 
 
-def test_nullspace_condition_classifies():
-    ok = treeqp.nullspace_condition(np.eye(2), np.zeros((0, 2)))
-    assert ok
-    # PD on the nullspace of A even though Q is indefinite
-    Q = np.diag([1.0, -1.0])
-    A = np.array([[0.0, 1.0]])  # nullspace = span(e0)
-    assert treeqp.nullspace_condition(Q, A)
-    assert not treeqp.nullspace_condition(Q, np.zeros((0, 2)))
-    # rank-deficient A
-    A2 = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert not treeqp.nullspace_condition(np.eye(2), A2)
-    # more rows than variables
-    A3 = np.ones((3, 2))
-    assert not treeqp.nullspace_condition(np.eye(2), A3)
-
-
-def test_eliminate_rejects_redundant_equality_rows():
+def test_rank_check_rejects_redundant_equality_rows():
     data = treeqp.CliqueQpData(
         clique=(0, 1, 2),
         H=np.eye(3),
@@ -263,8 +253,9 @@ def test_eliminate_rejects_redundant_equality_rows():
         A=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
         beta=np.zeros(2),
     )
+    lay = layout([(2,), (0, 1, 2)], [-1, 0])
     with pytest.raises(EliminationError, match="preprocessing required"):
-        treeqp.eliminate(data, [], sep=(2,))
+        treeqp.check_equality_rank(data.A[:, lay.zpos], lay.index)
 
 
 def test_eliminate_rejects_unbounded_direction():
@@ -278,7 +269,7 @@ def test_eliminate_rejects_unbounded_direction():
         beta=np.zeros(0),
     )
     with pytest.raises(EliminationError):
-        treeqp.eliminate(data, [], sep=(1,))
+        treeqp.eliminate(layout([(1,), (0, 1)], [-1, 0]), data, [])
 
 
 def test_eliminate_flat_but_consistent_direction():
@@ -291,7 +282,7 @@ def test_eliminate_flat_but_consistent_direction():
         A=np.zeros((0, 2)),
         beta=np.zeros(0),
     )
-    msg, rec = treeqp.eliminate(data, [], sep=(1,))
+    msg, rec = treeqp.eliminate(layout([(1,), (0, 1)], [-1, 0]), data, [])
     assert np.allclose(rec.h1, 0.0)
     assert np.allclose(msg.Q, [[1.0]])
     assert np.isclose(msg.c, 0.0)
