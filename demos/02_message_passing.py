@@ -78,7 +78,8 @@ def main():
               f"quadratic in separator {msg.sep}:")
         print(f"  Q = {msg.Q.ravel()}, q = {msg.q}, c = {msg.c:.6f}")
 
-    sols, value = treeqp.solve_tree_qp(tree, data)
+    sols = treeqp.downward_pass(tree, records)
+    value = records[tree.root].message.c
     print("\nper-clique minimisers (separator entries copied from parent):")
     for i in tree.post_order():
         y, v = sols[i]

@@ -107,12 +107,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json_entry(path: str, key: str):
+    """The ``key`` entry of a JSON object file, or the whole document."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        return doc
+    if key not in doc:
+        raise ProblemFormatError(f"{path}: missing key {key!r}")
+    return doc[key]
+
+
 def _load_x0(path: str | None, n: int) -> np.ndarray | None:
     if path is None:
         return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    vec = np.asarray(doc["x0"] if isinstance(doc, dict) else doc, dtype=float)
+    raw = _read_json_entry(path, "x0")
+    try:
+        vec = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"x0 file {path}: not numeric ({exc})") from exc
     if vec.shape != (n,):
         raise ProblemFormatError(f"x0 file {path}: expected {n} entries")
     return vec
@@ -137,9 +153,7 @@ def _phase_one_dict(info: ipm.PhaseOneInfo | None) -> dict | None:
 
 def cmd_gen_flow(args: argparse.Namespace) -> int:
     if args.tree:
-        with open(args.tree) as fh:
-            doc = json.load(fh)
-        shape = doc["parents"] if isinstance(doc, dict) else doc
+        shape = _read_json_entry(args.tree, "parents")
     else:
         shape = model.balanced_tree(args.height, args.branching)
     problem, x0 = model.gen_flow(shape, seed=args.seed)

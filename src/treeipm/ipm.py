@@ -42,9 +42,9 @@ from __future__ import annotations
 import copy
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from treeipm.model import (
 
 ALPHA_STALL = 1e-12
 PHASE_ONE_PROX = 1e-6
+PHASE_ONE_SLACK = 1e-3
 
 
 @dataclass
@@ -89,19 +90,6 @@ class SolverParams:
             raise ProblemFormatError("max_iters must be at least 1")
 
 
-TRACE_COLUMNS = (
-    "iter",
-    "r_primal_norm",
-    "r_dual_norm",
-    "eta_hat",
-    "alpha",
-    "backtracks",
-    "t",
-    "mp_steps_cum",
-    "eta_aff",
-)
-
-
 @dataclass
 class TraceRow:
     """Per-iteration record; norms and the gap are at the accepted point.
@@ -122,17 +110,11 @@ class TraceRow:
     eta_aff: float
 
     def as_tuple(self) -> tuple:
-        return (
-            self.iteration,
-            self.r_primal_norm,
-            self.r_dual_norm,
-            self.eta_hat,
-            self.alpha,
-            self.backtracks,
-            self.t,
-            self.mp_steps_cum,
-            self.eta_aff,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+
+# the trace CSV calls the iteration column "iter"
+TRACE_COLUMNS = ("iter",) + tuple(f.name for f in fields(TraceRow))[1:]
 
 
 @dataclass
@@ -160,19 +142,10 @@ class ConvergenceTrace:
             header = next(reader)
             if tuple(header) != TRACE_COLUMNS:
                 raise ProblemFormatError(f"{path}: unexpected trace header {header}")
+            hints = get_type_hints(TraceRow)
+            casts = [hints[f.name] for f in fields(TraceRow)]
             rows = [
-                TraceRow(
-                    int(vals[0]),
-                    float(vals[1]),
-                    float(vals[2]),
-                    float(vals[3]),
-                    float(vals[4]),
-                    int(vals[5]),
-                    float(vals[6]),
-                    int(vals[7]),
-                    float(vals[8]),
-                )
-                for vals in reader
+                TraceRow(*(cast(v) for cast, v in zip(casts, vals))) for vals in reader
             ]
         return ConvergenceTrace(rows)
 
@@ -195,18 +168,7 @@ class SolverSetup:
     tree: chordal.CliqueTree
     assignment: Assignment
     locals: dict[int, CliqueLocal]
-    m_total: int
-    n: int
     network: netsim.Network
-
-
-@dataclass
-class IterateState:
-    """Per-clique ``x`` and ``v`` slices and per-subproblem ``lam``."""
-
-    x: dict[int, np.ndarray]
-    v: dict[int, np.ndarray]
-    lam: dict[int, np.ndarray]
 
 
 def prepare(
@@ -263,41 +225,47 @@ def prepare(
             treeqp.check_equality_rank(locs[i].eq_A[:, locs[i].lay.zpos], i)
     local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
     a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
-    return SolverSetup(p, tree, a, locs, p.m_total, p.n, net)
+    return SolverSetup(p, tree, a, locs, net)
+
+
+def start_vector(
+    given: Mapping[int, np.ndarray] | None, key: int, size: int, name: str
+) -> np.ndarray:
+    """``given[key]`` checked to have ``size`` entries; all ones if none given."""
+    if given is None:
+        return np.ones(size)
+    if key not in given:
+        raise ProblemFormatError(f"{name} has no entry for {key}")
+    vec = np.asarray(given[key], dtype=float)
+    if vec.shape != (size,):
+        raise ProblemFormatError(f"{name}[{key}] must have shape ({size},)")
+    return vec.copy()
 
 
 def initial_state(
     setup: SolverSetup,
     x0: np.ndarray,
-    lam0: Mapping[int, np.ndarray] | float | None = None,
-    v0: Mapping[int, np.ndarray] | float | None = None,
-) -> IterateState:
+    lam0: Mapping[int, np.ndarray] | None = None,
+    v0: Mapping[int, np.ndarray] | None = None,
+) -> None:
+    """Check the start and write each agent's ``x``, ``v`` and ``lam``.
+
+    ``lam0`` maps every subproblem to positive multipliers and ``v0``
+    every clique to its equality multipliers; each defaults to all ones.
+    """
+    p = setup.problem
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (setup.n,):
-        raise ProblemFormatError(f"x0 must have shape ({setup.n},)")
-    x = {
-        i: x0[list(setup.tree.cliques[i])].copy() for i in range(setup.tree.q)
-    }
-    lam: dict[int, np.ndarray] = {}
-    for k, sp in enumerate(setup.problem.subproblems):
-        if isinstance(lam0, Mapping):
-            vec = np.asarray(lam0[k], dtype=float)
-        else:
-            vec = np.full(sp.m, 1.0 if lam0 is None else float(lam0))
-        if vec.shape != (sp.m,) or (vec.size and vec.min() <= 0):
-            raise ProblemFormatError(f"lam0[{k}] must be positive with shape ({sp.m},)")
-        lam[k] = vec.copy()
-    v: dict[int, np.ndarray] = {}
-    for i in range(setup.tree.q):
-        rows = setup.locals[i].eq_A.shape[0]
-        if isinstance(v0, Mapping):
-            vec = np.asarray(v0[i], dtype=float)
-        else:
-            vec = np.full(rows, 1.0 if v0 is None else float(v0))
-        if vec.shape != (rows,):
-            raise ProblemFormatError(f"v0[{i}] must have shape ({rows},)")
-        v[i] = vec.copy()
-    return IterateState(x, v, lam)
+    if x0.shape != (p.n,):
+        raise ProblemFormatError(f"x0 must have shape ({p.n},)")
+    lam = {}
+    for k, sp in enumerate(p.subproblems):
+        lam[k] = start_vector(lam0, k, sp.m, "lam0")
+        if sp.m and lam[k].min() <= 0:
+            raise ProblemFormatError(f"lam0[{k}] must be positive")
+    for i, env in setup.network.agents.items():
+        env.put("x", x0[list(setup.tree.cliques[i])])
+        env.put("v", start_vector(v0, i, setup.locals[i].eq_A.shape[0], "v0"))
+        env.put("lam", {k: lam[k] for k in setup.assignment.phi[i]})
 
 
 def _step_scale(m_total: int) -> float:
@@ -538,8 +506,8 @@ def solve(
     p: CoupledProblem,
     params: SolverParams | None = None,
     x0: np.ndarray | None = None,
-    lam0: Mapping[int, np.ndarray] | float | None = None,
-    v0: Mapping[int, np.ndarray] | float | None = None,
+    lam0: Mapping[int, np.ndarray] | None = None,
+    v0: Mapping[int, np.ndarray] | None = None,
     tree: chordal.CliqueTree | None = None,
     record_log: bool = True,
     stop_when_negative: Iterable[int] = (),
@@ -558,7 +526,7 @@ def solve(
         raise NotStrictlyFeasibleError(
             "a strictly feasible x0 is required; obtain one via phase_one"
         )
-    state = initial_state(setup, x0, lam0, v0)
+    initial_state(setup, x0, lam0, v0)
     worst = p.max_inequality(x0)
     if worst >= 0:
         raise NotStrictlyFeasibleError(
@@ -567,18 +535,14 @@ def solve(
     net = setup.network
     tree = setup.tree
     root = tree.root
-    scale = _step_scale(setup.m_total)
+    m_total = p.m_total
+    scale = _step_scale(m_total)
 
     watched = set(stop_when_negative)
-    for i in range(tree.q):
-        env = net.agents[i]
-        loc = setup.locals[i]
-        if watched:
-            lay = loc.lay
+    if watched:
+        for i, env in net.agents.items():
+            lay = setup.locals[i].lay
             env.put("watch", [t for t, u in zip(lay.zpos, lay.elim) if u in watched])
-        env.put("x", state.x[i])
-        env.put("v", state.v[i])
-        env.put("lam", {k: state.lam[k] for k in setup.assignment.phi[i]})
 
     def residual_up(env, inbox):
         x, v, lam = env.get("x"), env.get("v"), env.get("lam")
@@ -697,7 +661,7 @@ def solve(
         alpha_aff = pred["alpha"]
         c0, c1, c2, c3 = pred["gap"].tolist()
         eta_aff = c0 + alpha_aff * (c1 + alpha_aff * (c2 + alpha_aff * c3))
-        t = _next_t(c0, eta_aff, setup.m_total)
+        t = _next_t(c0, eta_aff, m_total)
         net.agents[root].put("t", t)
         net.run_down("corrector-solution", corr_down)
         alpha = net.run_up("alpha-bound", bound_up)
@@ -785,14 +749,13 @@ class PhaseOneInfo:
 def phase_one(
     p: CoupledProblem,
     params: SolverParams | None = None,
-    eps_slack: float = 1e-3,
-    record_log: bool = False,
 ) -> tuple[np.ndarray, PhaseOneInfo]:
     """Find a strictly feasible point, or certify none exists.
 
-    Minimises the sum of per-constraint slacks, bounded below so the
-    problem stays well posed, and stops at the first iterate whose slacks
-    are all negative: that point is strictly feasible.  Once a slack
+    Minimises the sum of per-constraint slacks, each bounded below by
+    ``-PHASE_ONE_SLACK`` so the problem stays well posed, and stops at the
+    first iterate whose slacks are all negative: that point is strictly
+    feasible.  The auxiliary solve keeps no run log.  Once a slack
     reaches its bound, nothing but the barrier acts on the ``x`` that its
     constraint can move away from, so each subproblem also pays
     ``PHASE_ONE_PROX / 2 * ||x_J||^2``; without it such ``x`` drift without
@@ -839,7 +802,7 @@ def phase_one(
         for j in range(sp.m):
             a = np.zeros(dim)
             a[d + j] = -1.0
-            cons.append(model.Constraint("affine", a, -eps_slack))
+            cons.append(model.Constraint("affine", a, -PHASE_ONE_SLACK))
         P = np.diag(np.r_[np.full(d, PHASE_ONE_PROX), np.zeros(sp.m)])
         subs.append(Subproblem(scope, model.QuadraticForm(P, qvec), cons))
     aux = CoupledProblem(n + m_total, subs)  # validated by solve's prepare
@@ -849,14 +812,14 @@ def phase_one(
     for sp in p.subproblems:
         xl = origin[list(sp.J)]
         for con in sp.inequalities:
-            s0[pos] = max(con.value(xl), -eps_slack) + 1.0
+            s0[pos] = max(con.value(xl), -PHASE_ONE_SLACK) + 1.0
             pos += 1
     x_aux = np.concatenate([origin, s0])
     result = solve(
         aux,
         params,
         x_aux,
-        record_log=record_log,
+        record_log=False,
         stop_when_negative=range(n, n + m_total),
     )
     x_cand = result.x[:n]

@@ -525,7 +525,10 @@ def gen_flow(
     the problem and the standard strictly feasible start
     ``(c/2, ..., 1, ...)``.
     """
-    parents = [int(v) for v in tree_shape]
+    try:
+        parents = [int(v) for v in tree_shape]
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"tree_shape must list integers ({exc})") from exc
     q = len(parents)
     if q == 0 or parents.count(-1) != 1 or parents[0] != -1:
         raise ProblemFormatError("tree_shape must have exactly one root at index 0")
@@ -615,8 +618,8 @@ def save_problem(p: CoupledProblem, path: str | Path) -> None:
 
 
 def _require(doc: Mapping, key: str, where: str):
-    if key not in doc:
-        raise ProblemFormatError(f"{where}: missing key {key!r}")
+    if not isinstance(doc, Mapping) or key not in doc:
+        raise ProblemFormatError(f"{where}: expected an object with key {key!r}")
     return doc[key]
 
 
@@ -625,35 +628,42 @@ def problem_from_json_dict(doc: Mapping) -> CoupledProblem:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ProblemFormatError("/n: must be an integer")
     raw_subs = _require(doc, "subproblems", "/")
+    if not isinstance(raw_subs, list):
+        raise ProblemFormatError("/subproblems: must be a list")
     subs = []
     for k, raw in enumerate(raw_subs):
         where = f"/subproblems/{k}"
-        scope = index_set(_require(raw, "J", where), n)
-        obj_doc = _require(raw, "objective", where)
-        obj = QuadraticForm(
-            np.array(_require(obj_doc, "P", f"{where}/objective"), dtype=float),
-            np.array(_require(obj_doc, "q", f"{where}/objective"), dtype=float),
-            float(_require(obj_doc, "r", f"{where}/objective")),
-        )
-        cons = []
-        for c_idx, c_doc in enumerate(raw.get("inequalities", [])):
-            cwhere = f"{where}/inequalities/{c_idx}"
-            kind = _require(c_doc, "kind", cwhere)
-            a = np.array(_require(c_doc, "a", cwhere), dtype=float)
-            b = float(_require(c_doc, "b", cwhere))
-            if kind == "affine":
-                cons.append(Constraint("affine", a, b))
-            elif kind == "quadratic":
-                Q = np.array(_require(c_doc, "Q", cwhere), dtype=float)
-                cons.append(Constraint("quadratic", a, b, Q=Q))
-            else:
-                raise ProblemFormatError(f"{cwhere}: unknown kind {kind!r}")
-        eq_doc = raw.get("equalities", {"A": [], "b": []})
-        eq_A = np.array(eq_doc.get("A", []), dtype=float)
-        eq_b = np.array(eq_doc.get("b", []), dtype=float)
-        if eq_A.size == 0:
-            eq_A = np.zeros((0, len(scope)))
-        subs.append(Subproblem(scope, obj, cons, eq_A, eq_b))
+        try:
+            scope = index_set(_require(raw, "J", where), n)
+            obj_doc = _require(raw, "objective", where)
+            obj = QuadraticForm(
+                np.array(_require(obj_doc, "P", f"{where}/objective"), dtype=float),
+                np.array(_require(obj_doc, "q", f"{where}/objective"), dtype=float),
+                float(_require(obj_doc, "r", f"{where}/objective")),
+            )
+            cons = []
+            for c_idx, c_doc in enumerate(raw.get("inequalities", [])):
+                cwhere = f"{where}/inequalities/{c_idx}"
+                kind = _require(c_doc, "kind", cwhere)
+                a = np.array(_require(c_doc, "a", cwhere), dtype=float)
+                b = float(_require(c_doc, "b", cwhere))
+                if kind == "affine":
+                    cons.append(Constraint("affine", a, b))
+                elif kind == "quadratic":
+                    Q = np.array(_require(c_doc, "Q", cwhere), dtype=float)
+                    cons.append(Constraint("quadratic", a, b, Q=Q))
+                else:
+                    raise ProblemFormatError(f"{cwhere}: unknown kind {kind!r}")
+            eq_doc = raw.get("equalities", {"A": [], "b": []})
+            eq_A = np.array(eq_doc.get("A", []), dtype=float)
+            eq_b = np.array(eq_doc.get("b", []), dtype=float)
+            if eq_A.size == 0:
+                eq_A = np.zeros((0, len(scope)))
+            subs.append(Subproblem(scope, obj, cons, eq_A, eq_b))
+        except ProblemFormatError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ProblemFormatError(f"{where}: {exc}") from exc
     return CoupledProblem(n, subs).validate()
 
 

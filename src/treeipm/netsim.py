@@ -218,14 +218,6 @@ class Network:
                     self._record_delivery(env, level)
         self._finish_pass()
 
-    def inject(self, src: int, dst: int, kind: str, payload: Any) -> None:
-        """Out-of-band delivery for tests; still restricted to tree edges."""
-        a, b = (src, dst) if src < dst else (dst, src)
-        if (a, b) not in self.tree.edges:
-            raise TopologyError(f"({src}, {dst}) is not a tree edge")
-        self._pass_counter += 1
-        self._record_delivery(Envelope(src, dst, kind, payload), -1)
-
     # ---- log export ----
 
     def to_jsonl(self, path: str | Path) -> None:
@@ -329,10 +321,9 @@ def accounting(
     net: Network,
     iterations: int,
     backtracks: int,
-    phase: str = "solve",
     strict: bool = False,
 ) -> StepAccounting:
-    """Build the counter report and check the schedule identity.
+    """Build the solve phase's counter report and check the schedule identity.
 
     The schedule is four up-and-down passes per iteration (affine
     direction, corrector, step bound, first candidate and acceptance) plus
@@ -341,6 +332,7 @@ def accounting(
     ``strict`` set, a mismatch between recorded counters and the schedule
     raises.
     """
+    phase = "solve"
     L = net.height
     mp = net.mp_steps.get(phase, 0)
     expected = 2 * L * (backtracks + 4 * iterations)

@@ -27,6 +27,7 @@ from treeipm.ipm import (
     TraceRow,
     _next_t,
     _step_scale,
+    start_vector,
 )
 from treeipm.model import Assignment, CoupledProblem, eval_subproblem
 
@@ -282,8 +283,8 @@ def centralized_ipm(
     p: CoupledProblem,
     params: SolverParams | None = None,
     x0: np.ndarray | None = None,
-    lam0: Mapping[int, np.ndarray] | float | None = None,
-    v0: Mapping[int, np.ndarray] | float | None = None,
+    lam0: Mapping[int, np.ndarray] | None = None,
+    v0: Mapping[int, np.ndarray] | None = None,
     tree: chordal.CliqueTree | None = None,
     assignment: Assignment | None = None,
     use_lstsq: bool = False,
@@ -312,19 +313,13 @@ def centralized_ipm(
     if assignment is None:
         assignment = ipm.prepare(p, tree).assignment
 
-    lam: dict[int, np.ndarray] = {}
-    for k, sp in enumerate(p.subproblems):
-        if isinstance(lam0, Mapping):
-            lam[k] = np.asarray(lam0[k], dtype=float).copy()
-        else:
-            lam[k] = np.full(sp.m, 1.0 if lam0 is None else float(lam0))
-    v: dict[int, np.ndarray] = {}
-    for i in range(tree.q):
-        rows = assignment.local_eq[i][0].shape[0]
-        if isinstance(v0, Mapping):
-            v[i] = np.asarray(v0[i], dtype=float).copy()
-        else:
-            v[i] = np.full(rows, 1.0 if v0 is None else float(v0))
+    lam = {
+        k: start_vector(lam0, k, sp.m, "lam0") for k, sp in enumerate(p.subproblems)
+    }
+    v = {
+        i: start_vector(v0, i, assignment.local_eq[i][0].shape[0], "v0")
+        for i in range(tree.q)
+    }
 
     m_total = p.m_total
     scale = _step_scale(m_total)
@@ -418,15 +413,18 @@ def same_iterate_steps(
     one-iteration solve starting from the ``(x, lam, v)`` the last one
     returned: the iteration carries no other state, so the replay retraces
     the free-running trajectory exactly.  From every iterate the
-    centralized loop takes one step too.  Returns one ``(distributed,
-    centralized)`` pair of step sizes per iteration.
+    centralized loop takes one step too, on the equality blocks the
+    distributed step reduced.  Returns one ``(distributed, centralized)``
+    pair of step sizes per iteration.
     """
     one = replace(params, max_iters=1)
     x, lam, v = x0, None, None
     out = []
     for _ in range(iterations):
         step = ipm.solve(p, one, x, lam, v, tree=tree, record_log=False)
-        ref = centralized_ipm(p, one, x, lam, v, tree=tree)
+        ref = centralized_ipm(
+            p, one, x, lam, v, tree=tree, assignment=step.setup.assignment
+        )
         out.append((step.trace.rows[0].alpha, ref.trace.rows[0].alpha))
         x, lam, v = step.x, step.lam, step.v
     return out

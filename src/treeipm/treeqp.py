@@ -287,7 +287,6 @@ def recover_clique(
 def downward_pass(
     tree: CliqueTree,
     records: dict[int, EliminationRecord],
-    root_solution: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Recover per-clique minimisers and multipliers top-down.
 
@@ -298,23 +297,11 @@ def downward_pass(
     for i in reversed(tree.post_order()):
         par = tree.parent[i]
         if par is None:
-            if root_solution is not None:
-                out[i] = root_solution
-                continue
             y = np.zeros(0)
         else:
             y = out[par][0][records[par].lay.child_pos[i]]
         out[i] = recover_clique(records[i], y)
     return out
-
-
-def solve_tree_qp(
-    tree: CliqueTree, data: dict[int, CliqueQpData]
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], float]:
-    """Upward then downward pass; returns solutions and the optimal value."""
-    _, records = upward_pass(tree, data)
-    sols = downward_pass(tree, records)
-    return sols, records[tree.root].message.c
 
 
 def block_ldl_check(

@@ -170,6 +170,62 @@ def test_malformed_problem_is_bad_input(tmp_path):
     assert "malformed" in res.stderr
 
 
+def _x0_file(text):
+    def argv(tmp_path, problem):
+        (tmp_path / "x0.json").write_text(text)
+        return ["solve", problem, "--x0", tmp_path / "x0.json", "--out", tmp_path]
+
+    return argv
+
+
+def _tree_file(text):
+    def argv(tmp_path, problem):
+        (tmp_path / "tree.json").write_text(text)
+        return ["gen-flow", "--tree", tmp_path / "tree.json", "--out", tmp_path / "p.json"]
+
+    return argv
+
+
+def _problem_file(edit):
+    def argv(tmp_path, problem):
+        doc = json.loads(problem.read_text())
+        edit(doc)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        return ["solve", tmp_path / "bad.json", "--out", tmp_path]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _x0_file(json.dumps({"start": [0.5] * 6})),
+        _x0_file("not json"),
+        _x0_file(json.dumps({"x0": ["a"] * 6})),
+        _tree_file(json.dumps({"shape": [-1, 0, 0]})),
+        _tree_file(json.dumps({"parents": [-1, "a"]})),
+        _problem_file(lambda doc: doc.update(subproblems=5)),
+        _problem_file(lambda doc: doc.update(subproblems=[5])),
+        _problem_file(lambda doc: doc["subproblems"][0]["objective"].update(q=["a"])),
+    ],
+    ids=[
+        "x0-missing-key",
+        "x0-not-json",
+        "x0-not-numeric",
+        "tree-missing-parents",
+        "tree-not-numeric",
+        "subproblems-not-list",
+        "subproblem-not-object",
+        "objective-not-numeric",
+    ],
+)
+def test_malformed_input_files_exit_4(tmp_path, flow_files, capsys, make_argv):
+    _, problem, _ = flow_files
+    argv = [str(a) for a in make_argv(tmp_path, problem)]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_infeasible_problem_is_exit_2(tmp_path):
     # x <= -1 and x >= 1 cannot hold
     sp = model.Subproblem(

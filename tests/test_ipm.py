@@ -67,16 +67,25 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
 def test_initial_state_shapes(rng):
     p, x0 = random_loose_qp(rng)
     setup = ipm.prepare(p)
-    state = ipm.initial_state(setup, x0)
-    for i in range(setup.tree.q):
-        assert state.x[i].shape == (len(setup.tree.cliques[i]),)
-        assert state.v[i].shape == (setup.locals[i].eq_A.shape[0],)
+    ipm.initial_state(setup, x0)
+    lam = {}
+    for i, env in setup.network.agents.items():
+        assert env.get("x").shape == (len(setup.tree.cliques[i]),)
+        assert env.get("v").shape == (setup.locals[i].eq_A.shape[0],)
+        lam.update(env.get("lam"))
+    assert sorted(lam) == list(range(len(p.subproblems)))
     for k, sp in enumerate(p.subproblems):
-        assert np.all(state.lam[k] == 1.0)
+        assert np.all(lam[k] == 1.0)
     with pytest.raises(ProblemFormatError):
         ipm.initial_state(setup, x0[:-1])
-    with pytest.raises(ProblemFormatError):
-        ipm.initial_state(setup, x0, lam0=-1.0)
+    negative = {k: -np.ones(sp.m) for k, sp in enumerate(p.subproblems)}
+    with pytest.raises(ProblemFormatError, match="must be positive"):
+        ipm.initial_state(setup, x0, lam0=negative)
+    # a mapping missing an entry is malformed input, not a KeyError
+    with pytest.raises(ProblemFormatError, match="lam0 has no entry for 1"):
+        ipm.initial_state(setup, x0, lam0={0: np.ones(p.subproblems[0].m)})
+    with pytest.raises(ProblemFormatError, match="v0 has no entry for 0"):
+        ipm.initial_state(setup, x0, v0={})
 
 
 def test_step_scale_and_barrier_updates():

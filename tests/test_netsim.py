@@ -102,16 +102,6 @@ def test_mp_steps_count_levels_per_pass():
     assert net.mp_steps.get("setup", 0) == 0
 
 
-def test_inject_restricted_to_tree_edges():
-    tree = chain_tree(3)
-    net = netsim.Network(tree)
-    net.inject(0, 1, "qp-message", {"x": 1})
-    assert net.sent[net.phase][0] == 1
-    assert net.received[net.phase][1] == 1
-    with pytest.raises(TopologyError, match="not a tree edge"):
-        net.inject(0, 2, "qp-message", {})
-
-
 # ---------------- run log and privacy ----------------
 
 

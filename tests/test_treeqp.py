@@ -122,7 +122,9 @@ def test_tree_solution_matches_dense_kkt(rng):
 
 
 def solve_and_stitch(tree, data, n):
-    sols, val = treeqp.solve_tree_qp(tree, data)
+    _, records = treeqp.upward_pass(tree, data)
+    sols = treeqp.downward_pass(tree, records)
+    val = records[tree.root].message.c
     x = np.full(n, np.nan)
     for i, (dx, dv) in sols.items():
         cols = list(tree.cliques[i])
@@ -143,26 +145,6 @@ def test_root_message_carries_optimal_value(rng):
     assert root_msg.sep == ()
     _, _, _, val_ref = dense_kkt(tree, data, n)
     assert np.isclose(root_msg.c, val_ref, atol=1e-8 * max(1, abs(val_ref)))
-
-
-def test_downward_accepts_pinned_root_solution(rng):
-    tree, data = random_tree_qp(rng)
-    _, records = treeqp.upward_pass(tree, data)
-    root = tree.root
-    dz = np.zeros(len(records[root].elim))
-    dv = np.zeros(data[root].A.shape[0])
-    dx0 = np.zeros(len(tree.cliques[root]))
-    sols = treeqp.downward_pass(tree, records, root_solution=(dx0, dv))
-    assert np.allclose(sols[root][0], dx0)
-    for i in tree.children[root]:
-        y = dx0[
-            np.array(
-                [tree.cliques[root].index(v) for v in records[i].sep], dtype=int
-            )
-        ]
-        dx, _ = sols[i]
-        expect, _ = treeqp.recover_clique(records[i], y)
-        assert np.allclose(dx, expect)
 
 
 def rhs_sweep(tree, records, r):
