@@ -25,6 +25,11 @@ schedule of synchronous passes:
    ``stop-broadcast``, on which every agent adopts its stored candidate)
    or shrinks the step and repeats 6-7.
 
+Before passes 1, 3, 5 and each 7, a local step
+(:meth:`netsim.Network.run_local`) does every agent's own arithmetic, one
+kernel call per :class:`model.ShapeGroup`; the pass handlers only eliminate
+and fold the children's payloads into the same sums, in the same order.
+
 The decrease test compares a candidate's residuals with those of the
 current iterate.  The root keeps them from the pass that accepted the
 iterate; for the start point one ``residual-partial`` pass runs in the
@@ -55,12 +60,7 @@ from treeipm.errors import (
     NotStrictlyFeasibleError,
     ProblemFormatError,
 )
-from treeipm.model import (
-    Assignment,
-    CoupledProblem,
-    Subproblem,
-    eval_subproblem,
-)
+from treeipm.model import Assignment, CoupledProblem, Subproblem
 
 ALPHA_STALL = 1e-12
 PHASE_ONE_PROX = 1e-6
@@ -168,6 +168,7 @@ class SolverSetup:
     tree: chordal.CliqueTree
     assignment: Assignment
     locals: dict[int, CliqueLocal]
+    groups: list[model.ShapeGroup]
     network: netsim.Network
 
 
@@ -176,7 +177,8 @@ def prepare(
     tree: chordal.CliqueTree | None = None,
     record_log: bool = False,
 ) -> SolverSetup:
-    """Tree, network, agent assignment, layouts and reduced equality blocks.
+    """Tree, network, agent assignment, layouts, reduced equality blocks
+    and shape groups.
 
     Each agent's :class:`CliqueLocal` is built once and stored as ``loc``;
     its :func:`model.clique_layout` holds every index the passes read.
@@ -186,7 +188,9 @@ def prepare(
     pushes the rest to its parent over the separator.  The feasible set of
     the stacked system is preserved; an inconsistent system raises at the
     root.  Each reduced block's rank over the eliminated variables is then
-    checked once, in pass order.
+    checked once, in pass order.  Each agent keeps its KKT piece as
+    ``qp``, with equality parts built here, and the cliques are grouped by
+    :func:`model.shape_groups` for the local kernels.
     """
     p.validate()
     if tree is None:
@@ -223,9 +227,17 @@ def prepare(
     for level in reversed(net.levels):
         for i in level:
             treeqp.check_equality_rank(locs[i].eq_A[:, locs[i].lay.zpos], i)
+    for i, loc in locs.items():
+        d, rows = len(loc.lay.clique), loc.eq_A.shape[0]
+        data = treeqp.CliqueQpData(
+            loc.lay.clique, np.zeros((d, d)), np.zeros(d), loc.eq_A, np.zeros(rows)
+        )
+        data.eq = treeqp.equality_parts(loc.lay, loc.eq_A)
+        net.agents[i].put("qp", data)
+    groups = model.shape_groups((i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in locs.items())
     local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
     a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
-    return SolverSetup(p, tree, a, locs, net)
+    return SolverSetup(p, tree, a, locs, groups, net)
 
 
 def start_vector(
@@ -287,171 +299,223 @@ def _next_t(eta_hat: float, eta_aff: float, m_total: int) -> float:
     return math.inf if sigma == 0 else m_total / (sigma * eta_hat)
 
 
-# ------------------ per-clique computations ------------------
+# ------------------ local kernels ------------------
+#
+# A kernel does one local step for a model.ShapeGroup: the members' data
+# are stacked on a leading axis and each numpy call works row by row, so a
+# member's result is bitwise the one it gets alone.  Products keep the
+# per-clique operand layouts (np.matvec for M @ x, on swapped axes for
+# M.T @ x, np.vecmat for x @ M, np.vecdot for x @ y) and columns are taken
+# C-ordered, so each row goes through the same BLAS call (a strided dot
+# sums in another order).  A point is evaluated once: its kernel keeps per
+# subproblem (g, jac, grad, lam), the agent's ``at`` once adopted.
 
 
-def _clique_qp(
-    loc: CliqueLocal,
-    x: np.ndarray,
-    v: np.ndarray,
-    lam: Mapping[int, np.ndarray],
-) -> tuple[treeqp.CliqueQpData, dict[int, model.SubproblemEval]]:
-    """One clique's barrier KKT piece for the affine (uncentered) step."""
-    d = len(loc.lay.clique)
-    H = np.zeros((d, d))
-    r = np.zeros(d)
-    evals: dict[int, model.SubproblemEval] = {}
-    for k, sp, pos, ix, rows in loc.lay.subs:
-        ev = eval_subproblem(sp, rows, x[pos])
-        evals[k] = ev
-        if ev.g.size and ev.g.max() >= 0:
-            raise NotStrictlyFeasibleError(
-                f"iterate left the strict interior at subproblem {k} "
-                f"(max g = {ev.g.max():.3e})"
-            )
-        lk = lam[k]
-        Hk = ev.hess.copy()
-        for j, Qj in rows.quad:
-            if Qj.any():
-                Hk = Hk + lk[j] * Qj
-        if ev.g.size:
-            Hk = Hk - ev.jac.T @ (ev.jac * (lk / ev.g)[:, None])
-            r_cent = -lk * ev.g
-            rk = ev.grad + ev.jac.T @ lk + ev.jac.T @ (r_cent / ev.g)
-        else:
-            rk = ev.grad
-        H[ix] += Hk
-        r[pos] += rk
-    if loc.eq_A.shape[0]:
-        r += loc.eq_A.T @ v
-    beta = loc.eq_b - loc.eq_A @ x
-    return treeqp.CliqueQpData(loc.lay.clique, H, r, loc.eq_A, beta), evals
+def _stack(rows: Sequence[np.ndarray]) -> np.ndarray:
+    # a lone row is viewed: every kept row is C-ordered, like a stack
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
-def _clique_dlam(
-    loc: CliqueLocal,
-    evals: Mapping[int, model.SubproblemEval],
-    lam: Mapping[int, np.ndarray],
-    dx: np.ndarray,
-    t: float,
-    soc: Mapping[int, np.ndarray],
-) -> dict[int, np.ndarray]:
-    """Multiplier direction; ``soc`` is the corrector's second-order term."""
-    inv_t = 0.0 if math.isinf(t) else 1.0 / t
-    out: dict[int, np.ndarray] = {}
-    for k, _, pos, _, _ in loc.lay.subs:
-        ev = evals[k]
-        if ev.g.size == 0:
-            out[k] = np.zeros(0)
-            continue
-        lk = lam[k]
-        r_cent = -lk * ev.g - inv_t - soc[k]
-        out[k] = (r_cent - lk * (ev.jac @ dx[pos])) / ev.g
-    return out
+def _slots(rows: Iterable) -> list[np.ndarray]:
+    """The members' per-subproblem sequences stacked position by position."""
+    return [_stack(r) for r in zip(*rows)]
 
 
-def _corrector_local(
-    loc: CliqueLocal,
-    evals: Mapping[int, model.SubproblemEval],
-    lam: Mapping[int, np.ndarray],
-    dx_aff: np.ndarray,
-    children: Sequence[tuple[int, dict]],
-) -> tuple[dict, np.ndarray, dict[int, np.ndarray]]:
-    """One agent's share of the predictor step and the corrector's data.
+def _rows(stacks: Sequence[np.ndarray], B: int) -> list[tuple]:
+    """Each member's rows of ``stacks``: the inverse of :func:`_slots`."""
+    return list(zip(*stacks)) if stacks else [()] * B
+
+
+def _at(envs: list[netsim.AgentEnv]) -> list[list[np.ndarray]]:
+    return [_slots(slot) for slot in zip(*[e.get("at") for e in envs])]
+
+
+def _eval_slot(s: model.SlotStack, X: np.ndarray):
+    """``g``, its Jacobian and the objective gradient, as
+    :func:`model.eval_subproblem` forms them."""
+    XL = s.take(X)
+    G = np.vecdot(s.A, XL[:, None, :])
+    JAC = s.A.copy()
+    for j, _, Q in s.quad:
+        G[:, j] += np.vecdot(np.vecmat(0.5 * XL, Q), XL)
+        JAC[:, j] = np.matvec(Q, XL) + s.A[:, j]
+    return G + s.b, JAC, np.matvec(s.P, XL) + s.q
+
+
+def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # per row the least num / den where den > 0, else inf
+    mask = den > 0
+    return np.minimum.reduce(
+        np.divide(num, den, out=None, where=mask), axis=1, where=mask, initial=np.inf
+    )
+
+
+def _qp_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+    """Each clique's barrier KKT piece for the affine (uncentered) step, into
+    its ``qp``; the point passed the start check or the acceptance test."""
+    X = _stack([e.get("x") for e in envs])
+    V = _stack([e.get("v") for e in envs])
+    B, d = X.shape
+    H = np.zeros((B, d, d))
+    R = np.zeros((B, d))
+    for s, (G, JAC, GRAD, L) in zip(grp.slots, _at(envs)):
+        Hk = s.P.copy()
+        for j, nonzero, Q in s.quad:
+            if nonzero:
+                Hk = Hk + L[:, j, None, None] * Q
+        if G.shape[1]:
+            JT = JAC.swapaxes(1, 2)
+            Hk = Hk - JT @ (JAC * (L / G)[:, :, None])
+            r_cent = -L * G
+            GRAD = GRAD + np.matvec(JT, L) + np.matvec(JT, r_cent / G)
+        H[s.block] += Hk
+        R[s.cols] += GRAD
+    if grp.eq_A.shape[1]:
+        R += np.matvec(grp.eq_A.swapaxes(1, 2), V)
+    for e, h, r, beta in zip(envs, H, R, grp.eq_b - np.matvec(grp.eq_A, X)):
+        data = e.get("qp")
+        data.H, data.r, data.beta = h, r, beta
+
+
+def _corrector_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+    """Each agent's own share of the predictor step, kept as ``pred``.
 
     The affine multiplier direction is ``dlam = -lam - lam * J dx / g``.
     Along the affine direction ``g(x + a dx) = g + a J dx + a^2 c`` with
     ``c = dx'Q dx / 2``, so the surrogate gap ``-sum (lam + a dlam)'g(x + a dx)``
-    is a cubic in ``a``.  Returns the aggregate for the parent (the
-    largest step keeping the multipliers and ``g`` interior, and the
-    cubic's coefficients), the clique's linear terms for the centering and
-    second-order right-hand sides as two columns, and the second-order
-    term ``dlam * J dx`` per subproblem.
+    is a cubic in ``a``.  ``pred``: the largest step keeping the own
+    multipliers and ``g`` interior (``inf`` if none), the cubic's
+    coefficients per subproblem with inequalities, the clique's centering
+    and second-order right-hand sides as two columns, and ``dlam * J dx``.
     """
-    amax = 1.0
-    gap = np.zeros(4)
-    for _, pl in children:
-        amax = min(amax, pl["alpha"])
-        gap += pl["gap"]
-    r = np.zeros((len(loc.lay.clique), 2))
-    soc: dict[int, np.ndarray] = {}
-    for k, _, pos, _, rows in loc.lay.subs:
-        ev = evals[k]
-        g = ev.g
-        if g.size == 0:
-            soc[k] = g
+    DX, _ = _slots([e.get("aff") for e in envs])
+    B, d = DX.shape
+    amax = np.zeros(B) + np.inf
+    gaps, socs = [], []
+    R = np.zeros((B, d, 2))
+    for s, (G, JAC, _, L) in zip(grp.slots, _at(envs)):
+        if G.shape[1] == 0:
+            socs.append(G)
             continue
-        lk = lam[k]
-        dxk = dx_aff[pos]
-        jdx = ev.jac @ dxk
-        dk = (-lk * g - lk * jdx) / g
-        curv = np.zeros(g.size)
-        for j, Q in rows.quad:
-            curv[j] = 0.5 * dxk @ Q @ dxk
+        DXK = s.take(DX)
+        JDX = np.matvec(JAC, DXK)
+        DK = (-L * G - L * JDX) / G
+        CURV = np.zeros(G.shape)
+        for j, _, Q in s.quad:
+            CURV[:, j] = np.vecdot(np.vecmat(0.5 * DXK, Q), DXK)
         # ratios for lam + a dlam >= 0 and for the positive root of
         # g + a jdx + a^2 curv, the latter in the cancellation-free form
-        num = np.concatenate([lk, -2.0 * g])
-        den = np.concatenate([-dk, jdx + np.sqrt(jdx * jdx - 4.0 * curv * g)])
-        mask = den > 0
-        if mask.any():
-            amax = min(amax, float(np.min(num[mask] / den[mask])))
+        root = _least_ratio(-2.0 * G, JDX + np.sqrt(JDX * JDX - 4.0 * CURV * G))
+        amax = np.minimum(amax, np.minimum(_least_ratio(L, -DK), root))
         # rows (lam, dlam) times columns (g, jdx, curv) give the cubic
-        P = np.stack([lk, dk]) @ np.stack([g, jdx, curv], axis=1)
-        gap -= (P[0, 0], P[0, 1] + P[1, 0], P[0, 2] + P[1, 1], P[1, 2])
-        soc[k] = dk * jdx
-        r[pos] -= ev.jac.T @ (np.stack([np.ones_like(g), soc[k]], axis=1) / g[:, None])
-    return {"alpha": amax, "gap": gap}, r, soc
+        rows = np.empty((B, 2, G.shape[1]))
+        rows[:, 0], rows[:, 1] = L, DK
+        cols = np.empty(G.shape + (3,))
+        cols[:, :, 0], cols[:, :, 1], cols[:, :, 2] = G, JDX, CURV
+        P = rows @ cols
+        gap = np.empty((B, 4))
+        gap[:, 0], gap[:, 1:3], gap[:, 3] = P[:, 0, 0], P[:, 0, 1:] + P[:, 1, :2], P[:, 1, 2]
+        gaps.append(gap)
+        socs.append(DK * JDX)
+        terms = np.empty(G.shape + (2,))  # columns (1, soc) / g, as one stack
+        terms[:, :, 0], terms[:, :, 1] = 1.0, socs[-1]
+        terms /= G[:, :, None]
+        R[s.cols] -= JAC.swapaxes(1, 2) @ terms
+    for e, a, gap, r, soc in zip(envs, amax.tolist(), _rows(gaps, B), R, _rows(socs, B)):
+        e.put("pred", (a, gap, r, soc))
 
 
-def _residual_local(
-    loc: CliqueLocal,
-    x: np.ndarray,
-    v: np.ndarray,
-    lam: Mapping[int, np.ndarray],
-    children: Sequence[tuple[int, dict]],
-) -> dict:
-    """One agent's share of the residual norms, interiority and gap at a point.
+def _step_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+    """Each agent's ``dlam`` per subproblem for the corrected ``dx`` and the
+    weights ``w = (1/t, 1)``, and its ``bound``: the largest step up to 1
+    keeping its multipliers positive."""
+    DX = _stack([e.get("dx") for e in envs])
+    inv_t = _stack([e.get("w") for e in envs])[:, :1]
+    B = len(envs)
+    bound = np.zeros(B) + 1.0
+    dlams = []
+    socs = _slots([e.get("pred")[3] for e in envs])
+    for s, (G, JAC, _, L), SOC in zip(grp.slots, _at(envs), socs):
+        D = G
+        if G.shape[1]:
+            r_cent = -L * G - inv_t - SOC
+            D = (r_cent - L * np.matvec(JAC, s.take(DX))) / G
+            bound = np.minimum(bound, _least_ratio(L, -D))
+        dlams.append(D)
+    for e, keys, a, dlam in zip(envs, grp.keys, bound.tolist(), _rows(dlams, B)):
+        e.put("dlam", dict(zip(keys, dlam)))
+        e.put("bound", a)
 
-    The squared primal and dual residual norms and the surrogate gap
-    ``-sum lam'g`` are summed over the subtree; ``push`` is the dual
-    residual restricted to the separator, for the parent to finish.  A
-    point outside the strict interior anywhere in the subtree comes back
-    ``ok = False`` with zero sums.
-    """
-    dead = {
-        "ok": False,
-        "p": 0.0,
-        "d": 0.0,
-        "push": np.zeros(len(loc.lay.sep)),
-        "eta": 0.0,
-    }
-    if not all(pl["ok"] for _, pl in children):
-        return dead
-    w = np.zeros(len(loc.lay.clique))
-    own_eta: list[float] = []
-    for k, sp, pos, _, rows in loc.lay.subs:
-        ev = eval_subproblem(sp, rows, x[pos])
-        if ev.g.size and ev.g.max() >= 0:
-            return dead
-        w[pos] += ev.grad + (ev.jac.T @ lam[k] if ev.g.size else 0.0)
-        own_eta.append(float(-(lam[k] @ ev.g)))
-    if loc.eq_A.shape[0]:
-        w += loc.eq_A.T @ v
-    p_sq = 0.0
-    d_sq = 0.0
-    eta = 0.0
-    for src, pl in children:
-        p_sq += pl["p"]
-        d_sq += pl["d"]
-        eta += pl["eta"]
-        w[loc.lay.child_pos[src]] += pl["push"]
-    own_pr = loc.eq_A @ x - loc.eq_b
-    p_sq += float(own_pr @ own_pr)
-    own_w = w[loc.lay.zpos]
+
+def _residual_terms(grp: model.ShapeGroup, envs: list[netsim.AgentEnv], X, V, LAMS):
+    """Each agent's ``own`` terms at ``(X, V, LAMS)``: whether its ``g`` is
+    negative, its dual residual before the children's pushes, its squared
+    primal residual and ``-lam'g`` per subproblem.  Returns each member's
+    ``(g, jac, grad, lam)`` there."""
+    B, d = X.shape
+    gmax = np.zeros(B) - np.inf
+    W = np.zeros((B, d))
+    ETA = np.empty((B, len(grp.slots)))
+    evals = []
+    for t, (s, L) in enumerate(zip(grp.slots, LAMS)):
+        G, JAC, GRAD = _eval_slot(s, X)
+        if G.shape[1]:
+            gmax = np.fmax(gmax, np.maximum.reduce(G, axis=1))
+            W[s.cols] += GRAD + np.matvec(JAC.swapaxes(1, 2), L)
+        else:
+            W[s.cols] += GRAD + 0.0
+        ETA[:, t] = -np.vecdot(L, G)
+        evals.append(_rows((G, JAC, GRAD, L), B))
+    if grp.eq_A.shape[1]:
+        W += np.matvec(grp.eq_A.swapaxes(1, 2), V)
+    PR = np.matvec(grp.eq_A, X) - grp.eq_b
+    own = zip((~(gmax >= 0)).tolist(), W, np.vecdot(PR, PR).tolist(), ETA.tolist())
+    for e, terms in zip(envs, own):
+        e.put("own", terms)
+    return _rows(evals, B)
+
+
+def _start_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+    """:func:`_residual_terms` at the start point, kept as ``at``."""
+    X = _stack([e.get("x") for e in envs])
+    V = _stack([e.get("v") for e in envs])
+    LAMS = _slots([e.get("lam").values() for e in envs])
+    for e, at in zip(envs, _residual_terms(grp, envs, X, V, LAMS)):
+        e.put("at", at)
+
+
+def _candidate_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+    """Each agent's candidate point at its step ``alpha_bar`` and
+    :func:`_residual_terms` there; keeps both as ``cand``."""
+    alpha = np.array([e.get("alpha_bar") for e in envs])[:, None]
+    X = _stack([e.get("x") for e in envs]) + alpha * _stack([e.get("dx") for e in envs])
+    V = _stack([e.get("v") for e in envs]) + alpha * _stack([e.get("dv") for e in envs])
+    lams = zip(*(_slots([e.get(k).values() for e in envs]) for k in ("lam", "dlam")))
+    LAMS = [L + alpha * D for L, D in lams]
+    evals = _residual_terms(grp, envs, X, V, LAMS)
+    for e, keys, x, v, lam, at in zip(envs, grp.keys, X, V, _rows(LAMS, len(envs)), evals):
+        e.put("cand", (x, v, dict(zip(keys, lam)), at))
+
+
+def _residual_fold(lay: model.CliqueLayout, own: tuple, inbox: list[netsim.Envelope]) -> dict:
+    """One agent's share at a point: the squared residual norms and the gap
+    ``-sum lam'g`` over the subtree, and ``push``, the dual residual on the
+    separator; ``ok = False`` with zero sums outside the strict interior."""
+    ok, w, own_p, own_eta = own
+    if not (ok and all([e.payload["ok"] for e in inbox])):
+        return {"ok": False, "p": 0.0, "d": 0.0, "push": np.zeros(len(lay.sep)), "eta": 0.0}
+    p_sq = d_sq = eta = 0.0
+    for e in inbox:
+        p_sq += e.payload["p"]
+        d_sq += e.payload["d"]
+        eta += e.payload["eta"]
+        w[lay.child_pos[e.src]] += e.payload["push"]
+    p_sq += own_p
+    own_w = w[lay.zpos]
     d_sq += float(own_w @ own_w)
     for e in own_eta:
         eta += e
-    return {"ok": True, "p": p_sq, "d": d_sq, "push": w[loc.lay.ypos], "eta": eta}
+    return {"ok": True, "p": p_sq, "d": d_sq, "push": w[lay.ypos], "eta": eta}
 
 
 def _accept_test(
@@ -544,78 +608,65 @@ def solve(
             lay = setup.locals[i].lay
             env.put("watch", [t for t, u in zip(lay.zpos, lay.elim) if u in watched])
 
+    groups = setup.groups
+
     def residual_up(env, inbox):
-        x, v, lam = env.get("x"), env.get("v"), env.get("lam")
-        children = [(e.src, e.payload) for e in inbox]
-        return _residual_local(env.get("loc"), x, v, lam, children)
+        return _residual_fold(env.get("loc").lay, env.get("own"), inbox)
 
     # the start point's residuals, the first decrease-test reference; after
     # that the root keeps the accepted candidate's
+    net.run_local(groups, _start_kernel)
     ref = net.run_up("residual-partial", residual_up)
 
     def dir_up(env, inbox):
-        loc = env.get("loc")
-        data, evals = _clique_qp(loc, env.get("x"), env.get("v"), env.get("lam"))
-        env.put("evals", evals)
         msg, rec = treeqp.eliminate(
-            loc.lay, data, [(e.src, e.payload) for e in inbox]
+            env.get("loc").lay, env.get("qp"), [(e.src, e.payload) for e in inbox]
         )
         env.put("rec", rec)
         env.count_factorization()
         return msg if env.parent is not None else None
 
     def dir_down(env, envelope):
-        loc = env.get("loc")
         y = envelope.payload if envelope is not None else np.zeros(0)
-        aff = treeqp.recover_clique(env.get("rec"), y)
+        rec = env.get("rec")
+        aff = treeqp.recover_clique(rec, y)
         env.put("aff", aff)
-        return {c: aff[0][loc.lay.child_pos[c]] for c in env.children}
+        return {c: aff[0][rec.lay.child_pos[c]] for c in env.children}
 
     def corr_up(env, inbox):
-        loc = env.get("loc")
-        rec = env.get("rec")
-        agg, r, soc = _corrector_local(
-            loc,
-            env.get("evals"),
-            env.get("lam"),
-            env.get("aff")[0],
-            [(e.src, e.payload) for e in inbox],
-        )
+        amax_own, own_gaps, r, _ = env.get("pred")
+        amax = 1.0
+        gap = np.zeros(4)
+        for e in inbox:
+            amax = min(amax, e.payload["alpha"])
+            gap += e.payload["gap"]
+        amax = min(amax, amax_own)
+        for row in own_gaps:
+            gap -= row
         q, h1, h2 = treeqp.eliminate_rhs(
-            rec, r, [(e.src, e.payload["msg"]) for e in inbox]
+            env.get("rec"), r, [(e.src, e.payload["msg"]) for e in inbox]
         )
-        env.put("corr", (h1, h2, soc))
-        return {**agg, "msg": q}
+        env.put("corr", (h1, h2))
+        return {"alpha": amax, "gap": gap, "msg": q}
 
     def corr_down(env, envelope):
-        loc = env.get("loc")
         if envelope is None:
             t, y = env.get("t"), np.zeros(0)
         else:
             t, y = envelope.payload["t"], envelope.payload["y"]
         # corrector = centering column / t + second-order column
         w = np.array([0.0 if math.isinf(t) else 1.0 / t, 1.0])
-        h1, h2, soc = env.get("corr")
-        dx_c, dv_c = treeqp.recover_clique(env.get("rec"), y, (h1 @ w, h2 @ w))
+        env.put("w", w)
+        h1, h2 = env.get("corr")
+        rec = env.get("rec")
+        dx_c, dv_c = treeqp.recover_clique(rec, y, (h1 @ w, h2 @ w))
         dx_aff, dv_aff = env.get("aff")
-        dx = dx_aff + dx_c
-        env.put("dx", dx)
+        env.put("dx", dx_aff + dx_c)
         env.put("dv", dv_aff + dv_c)
-        env.put(
-            "dlam", _clique_dlam(loc, env.get("evals"), env.get("lam"), dx, t, soc)
-        )
-        return {
-            c: {"t": t, "y": dx_c[loc.lay.child_pos[c]]} for c in env.children
-        }
+        return {c: {"t": t, "y": dx_c[rec.lay.child_pos[c]]} for c in env.children}
 
     def bound_up(env, inbox):
-        lam = env.get("lam")
-        amax = 1.0
-        for k, d in env.get("dlam").items():
-            mask = d < 0
-            if mask.any():
-                amax = min(amax, float(np.min(-lam[k][mask] / d[mask])))
-        alpha = scale * amax
+        alpha = scale * env.get("bound")
         for e in inbox:
             alpha = min(alpha, e.payload)
         return alpha
@@ -626,26 +677,20 @@ def solve(
         return {c: a for c in env.children}
 
     def cand_up(env, inbox):
-        alpha = env.get("alpha_bar")
-        x = env.get("x") + alpha * env.get("dx")
-        v = env.get("v") + alpha * env.get("dv")
-        lam, dlam = env.get("lam"), env.get("dlam")
-        lam = {k: lam[k] + alpha * dlam[k] for k in lam}
-        env.put("cand", (x, v, lam))
-        children = [(e.src, e.payload) for e in inbox]
-        out = _residual_local(env.get("loc"), x, v, lam, children)
+        out = _residual_fold(env.get("loc").lay, env.get("own"), inbox)
         if watched:
             out["negative"] = all(e.payload["negative"] for e in inbox) and bool(
-                np.all(x[env.get("watch")] < 0)
+                np.all(env.get("cand")[0][env.get("watch")] < 0)
             )
         return out
 
     def accept_down(env, envelope):
         stop = envelope.payload if envelope is not None else env.get("stop")
-        x, v, lam = env.get("cand")
+        x, v, lam, at = env.get("cand")
         env.put("x", x)
         env.put("v", v)
         env.put("lam", lam)
+        env.put("at", at)
         return {c: stop for c in env.children}
 
     net.begin_phase("solve")
@@ -655,8 +700,10 @@ def solve(
     iterations = 0
     for it in range(1, params.max_iters + 1):
         iterations = it
+        net.run_local(groups, _qp_kernel)
         net.run_up("qp-message", dir_up)
         net.run_down("separator-solution", dir_down)
+        net.run_local(groups, _corrector_kernel)
         pred = net.run_up("corrector-message", corr_up)
         alpha_aff = pred["alpha"]
         c0, c1, c2, c3 = pred["gap"].tolist()
@@ -664,11 +711,13 @@ def solve(
         t = _next_t(c0, eta_aff, m_total)
         net.agents[root].put("t", t)
         net.run_down("corrector-solution", corr_down)
+        net.run_local(groups, _step_kernel)
         alpha = net.run_up("alpha-bound", bound_up)
         net.agents[root].put("alpha_bar", alpha)
         net.run_down("alpha-broadcast", alpha_down)
         backtracks = 0
         while True:
+            net.run_local(groups, _candidate_kernel)
             cand = net.run_up("residual-partial", cand_up)
             if _accept_test(cand, ref, alpha, params):
                 break

@@ -395,6 +395,88 @@ def clique_layout(
     )
 
 
+# ------------------ shape groups ------------------
+
+
+@dataclass
+class SlotStack:
+    """One hosted-subproblem position of a :class:`ShapeGroup`, its ``A``,
+    ``b``, ``P``, ``q`` and quadratic rows ``(j, nonzero, Q)`` stacked over
+    the members; ``cols`` and ``block`` index the scope in stacked clique
+    vectors and matrices (``...`` for the whole clique)."""
+
+    pos: np.ndarray
+    cols: tuple
+    block: tuple
+    A: np.ndarray
+    b: np.ndarray
+    P: np.ndarray
+    q: np.ndarray
+    quad: list[tuple[int, bool, np.ndarray]]
+
+    def take(self, X: np.ndarray) -> np.ndarray:
+        """The scope's columns of stacked clique vectors, C-ordered."""
+        return X if self.cols is Ellipsis else X.take(self.pos, axis=1)
+
+
+@dataclass
+class ShapeGroup:
+    """Cliques of one layout shape, their static data stacked on a leading
+    member axis; ``keys[b]`` lists member ``b``'s subproblems."""
+
+    members: list[int]
+    slots: list[SlotStack]
+    keys: list[tuple[int, ...]]
+    eq_A: np.ndarray
+    eq_b: np.ndarray
+
+
+def _stack_slot(subs: Sequence[tuple], size: int) -> SlotStack:
+    """One slot of a group: its members' layout entries ``subs`` stacked."""
+    _, _, pos, ix, rows = subs[0]
+    part = len(pos) < size
+    static = zip(*((r.A, r.b, sp.objective.P, sp.objective.q) for _, sp, _, _, r in subs))
+    quad = [
+        (j, bool(Q.any()), np.array([s[4].quad[u][1] for s in subs]))
+        for u, (j, Q) in enumerate(rows.quad)
+    ]
+    return SlotStack(
+        pos,
+        (slice(None), pos) if part else ...,
+        (slice(None), *ix) if part else ...,
+        *map(np.array, static),
+        quad,
+    )
+
+
+def shape_groups(
+    blocks: Iterable[tuple[int, CliqueLayout, np.ndarray, np.ndarray]],
+) -> list[ShapeGroup]:
+    """Group ``(clique, layout, eq_A, eq_b)`` in order of first appearance by
+    shape: clique size, eliminated and separator positions, equality-row
+    count and, per hosted subproblem, scope positions, inequality count and
+    quadratic rows (with whether each ``Q`` is nonzero); stack each group."""
+    by_shape: dict[tuple, list] = {}
+    for i, lay, eq_A, eq_b in blocks:
+        shape = (len(lay.clique), lay.zpos.tobytes(), lay.ypos.tobytes(), len(eq_A)) + tuple(
+            (pos.tobytes(), len(rows.b), tuple((j, bool(Q.any())) for j, Q in rows.quad))
+            for _, _, pos, _, rows in lay.subs
+        )
+        by_shape.setdefault(shape, []).append((i, lay, eq_A, eq_b))
+    groups = []
+    for members in by_shape.values():
+        ids, lays, As, bs = zip(*members)
+        size = len(lays[0].clique)
+        groups.append(ShapeGroup(
+            list(ids),
+            [_stack_slot(subs, size) for subs in zip(*(lay.subs for lay in lays))],
+            [tuple(k for k, *_ in lay.subs) for lay in lays],
+            np.array(As),
+            np.array(bs),
+        ))
+    return groups
+
+
 # ------------------ equality preprocessing ------------------
 
 

@@ -6,7 +6,8 @@ handing exactly one envelope to its parent; a downward pass runs root
 first, each agent handing one envelope to every child.  Handlers receive
 only their own environment plus delivered envelopes, so an honest handler
 cannot observe remote state; every read of agent-local storage is logged
-and audited after the run.
+and audited after the run.  A local step runs the agents' own work, one
+kernel call per group of agents, and logs each read as the owner's.
 
 Counters track message-passing steps (one per tree level per pass),
 per-agent factorizations and per-agent envelope traffic.
@@ -81,7 +82,9 @@ class AgentEnv:
         self._store[name] = value
 
     def get(self, name: str) -> Any:
-        self.net._record_read(self.id, name)
+        net = self.net
+        if net.events is not None and (net._local or net._active is not None):
+            net._record_read(self.id, name)
         return self._store[name]
 
     def has(self, name: str) -> bool:
@@ -93,6 +96,7 @@ class AgentEnv:
 
 UpHandler = Callable[[AgentEnv, list[Envelope]], Any]
 DownHandler = Callable[[AgentEnv, Envelope | None], dict[int, Any] | None]
+LocalKernel = Callable[[Any, list[AgentEnv]], None]
 
 
 class Network:
@@ -117,6 +121,7 @@ class Network:
         )
         self.events: list[dict] | None = [] if record_log else None
         self._active: int | None = None
+        self._local = False
         self._pass_counter = 0
 
     # ---- phases and counters ----
@@ -129,14 +134,12 @@ class Network:
         self.half_passes[self.phase] += 1
 
     def _record_read(self, owner: int, name: str) -> None:
-        if self._active is None or self.events is None:
-            return
         self.events.append(
             {
                 "type": "read",
                 "phase": self.phase,
                 "pass": self._pass_counter,
-                "agent": self._active,
+                "agent": owner if self._local else self._active,
                 "owner": owner,
                 "field": name,
             }
@@ -166,7 +169,19 @@ class Network:
         finally:
             self._active = None
 
-    # ---- passes ----
+    # ---- local steps and passes ----
+
+    def run_local(self, groups: Iterable, kernel: LocalKernel) -> None:
+        """``kernel(group, envs)`` once per group, ``envs`` those of
+        ``group.members``; nothing is sent and no round counted.  A kernel
+        computes each member's result from that member's data alone, so
+        its reads are logged as their owners'."""
+        self._local = True
+        try:
+            for group in groups:
+                kernel(group, list(map(self.agents.__getitem__, group.members)))
+        finally:
+            self._local = False
 
     def run_up(self, kind: str, handler: UpHandler) -> Any:
         """Leaves to root; every non-root agent sends one envelope up.

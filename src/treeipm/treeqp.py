@@ -22,7 +22,8 @@ built once per tree; the equality rows' rank is checked once per clique by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -36,18 +37,37 @@ EQ_RANK_TOL = 1e-10
 SOLVE_BACKWARD_TOL = 1e-8
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm, computed as ``np.linalg.norm`` computes it."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def backward_ok(M: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> bool:
     """Normwise backward-error contract of a solve of ``M sol = rhs``:
     finite, and ``|M sol - rhs| <= SOLVE_BACKWARD_TOL (|M| |sol| + |rhs| + 1)``."""
     if not np.isfinite(sol).all():
         return False
-    scale = np.linalg.norm(M) * np.linalg.norm(sol) + np.linalg.norm(rhs) + 1.0
-    return np.linalg.norm(M @ sol - rhs) <= SOLVE_BACKWARD_TOL * scale
+    scale = _norm(M) * _norm(sol) + _norm(rhs) + 1.0
+    return _norm(M @ sol - rhs) <= SOLVE_BACKWARD_TOL * scale
+
+
+def equality_parts(lay: CliqueLayout, A: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(Ay, O, rhs)``: the rows over the separator, and the pivot block and
+    right-hand side of :func:`eliminate` with only the ``A`` entries set."""
+    nz, ny, p = len(lay.zpos), len(lay.ypos), A.shape[0]
+    O = np.zeros((nz + p, nz + p))
+    O[nz:, :nz] = A[:, lay.zpos]
+    O[:nz, nz:] = O[nz:, :nz].T
+    rhs = np.zeros((nz + p, ny + 1))
+    rhs[nz:, :ny] = -A[:, lay.ypos]
+    return A[:, lay.ypos], O, rhs
 
 
 @dataclass
 class CliqueQpData:
-    """One clique's quadratic piece, ordered by ascending variable index."""
+    """One clique's quadratic piece, ordered by ascending variable index;
+    ``eq``, if set, is :func:`equality_parts` of ``A``, kept by the caller."""
 
     clique: IndexSet
     H: np.ndarray
@@ -55,6 +75,7 @@ class CliqueQpData:
     A: np.ndarray
     beta: np.ndarray
     c: float = 0.0
+    eq: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         d = len(self.clique)
@@ -138,33 +159,30 @@ def eliminate(
     for the parent plus the record needed to recover the local minimiser
     once the separator values arrive.
     """
-    H = data.H.copy()
-    r = data.r.copy()
-    c = data.c
+    H, r, c = data.H, data.r, data.c
+    if child_msgs:  # the children's terms are added in place
+        H = H.copy()
+        r = r.copy()
     for child, msg in child_msgs:
         H[lay.child_ix[child]] += msg.Q
         r[lay.child_pos[child]] += msg.q
         c += msg.c
 
-    nz, ny, p = len(lay.zpos), len(lay.ypos), data.A.shape[0]
+    Ay, O, rhs = data.eq or equality_parts(lay, data.A)
+    nz, ny = len(lay.zpos), len(lay.ypos)
     Qzz = H[lay.zz]
     Qzy = H[lay.zy]
     Qyy = H[lay.yy]
     qz = r[lay.zpos]
     qy = r[lay.ypos]
-    Az = data.A[:, lay.zpos]
-    Ay = data.A[:, lay.ypos]
 
-    O = np.zeros((nz + p, nz + p))
+    O = O.copy()
     O[:nz, :nz] = Qzz
-    O[:nz, nz:] = Az.T
-    O[nz:, :nz] = Az
 
     if O.size:
-        rhs = np.zeros((nz + p, ny + 1))
+        rhs = rhs.copy()
         rhs[:nz, :ny] = -Qzy
         rhs[:nz, ny] = -qz
-        rhs[nz:, :ny] = -Ay
         rhs[nz:, ny] = data.beta
 
         ldu, ipiv, info = lapack.dsytrf(O)
@@ -231,7 +249,8 @@ def eliminate_rhs(
     ``(h1, h2)`` that :func:`recover_clique` takes.  Nothing is factorized.
     """
     lay = rec.lay
-    r = np.array(r, dtype=float)
+    # copied only when the children's terms are added in place
+    r = np.array(r, dtype=float, copy=True if child_msgs else None)
     for child, q in child_msgs:
         r[lay.child_pos[child]] += q
     qz = r[lay.zpos]

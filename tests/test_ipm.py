@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeipm import chordal, ipm, model, netsim, oracle, treeqp
 from treeipm.errors import (
@@ -413,6 +418,137 @@ def test_iteration_does_no_layout_work(rng, monkeypatch):
         assert armed[0] and r.converged and r.iterations > 1
     # nor allocates a Hessian per constraint
     assert not hasattr(model.Constraint, "hess")
+
+
+# ---------------- local kernels ----------------
+
+# each kernel with the agent-store entries it writes
+KERNELS = (
+    (ipm._start_kernel, ("own", "at")),
+    (ipm._qp_kernel, ("qp",)),
+    (ipm._corrector_kernel, ("pred",)),
+    (ipm._step_kernel, ("dlam", "bound")),
+    (ipm._candidate_kernel, ("own", "cand")),
+)
+
+
+def bitwise_same(a, b) -> bool:
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(bitwise_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(bitwise_same(u, w) for u, w in zip(a, b))
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+def written(env, keys):
+    out = []
+    for key in keys:
+        value = env._store[key]
+        if key == "qp":
+            value = (value.H, value.r, value.beta)
+        out.append(copy.deepcopy(value))
+    return out
+
+
+def assert_rows_alone(group, envs, blocks):
+    """Each kernel's output for ``group`` is bitwise its output for every
+    member run as a group of one: no kernel reduces across members."""
+    for kernel, keys in KERNELS:
+        kernel(group, envs)
+        together = [written(e, keys) for e in envs]
+        for env, block, want in zip(envs, blocks, together):
+            kernel(model.shape_groups([block])[0], [env])
+            assert bitwise_same(written(env, keys), want), (kernel.__name__, block[0])
+
+
+def blocks_of(setup):
+    return {i: (i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in setup.locals.items()}
+
+
+def assert_groups_work_row_by_row(res):
+    blocks = blocks_of(res.setup)
+    for group in res.setup.groups:
+        envs = [res.network.agents[i] for i in group.members]
+        assert_rows_alone(group, envs, [blocks[i] for i in group.members])
+
+
+def test_flow_tree_kernels_work_row_by_row():
+    p, x0 = model.gen_flow(model.balanced_tree(4, 2), seed=0)
+    res = ipm.solve(p, ONE, x0, record_log=False)
+    assert max(len(g.members) for g in res.setup.groups) > 1
+    assert_groups_work_row_by_row(res)
+
+
+def test_phase_one_kernels_work_row_by_row(monkeypatch):
+    # the auxiliary problem adds a slack row and a slack bound per
+    # inequality; stop its solve after one iteration and check that state
+    p, _ = model.gen_flow(model.balanced_tree(3, 2), seed=1)
+    runs = []
+    solve = ipm.solve
+
+    def one_step(aux, params, x, **kwargs):
+        runs.append(solve(aux, ONE, x, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ipm, "solve", one_step)
+    try:
+        ipm.phase_one(p)
+    except (NotStrictlyFeasibleError, InfeasibleProblemError):
+        pass
+    (res,) = runs
+    assert max(len(g.members) for g in res.setup.groups) > 1
+    assert_groups_work_row_by_row(res)
+
+
+def rescaled(p: model.CoupledProblem) -> model.CoupledProblem:
+    """``p`` with other numbers and the same shapes: the objective halved,
+    each inequality tripled, each equality row doubled."""
+    subs = []
+    for sp in p.subproblems:
+        cons = [
+            model.Constraint(c.kind, 3.0 * c.a, 3.0 * c.b, None if c.Q is None else 3.0 * c.Q)
+            for c in sp.inequalities
+        ]
+        obj = model.QuadraticForm(0.5 * sp.objective.P, 0.5 * sp.objective.q)
+        subs.append(model.Subproblem(sp.J, obj, cons, 2.0 * sp.eq_A, 2.0 * sp.eq_b))
+    return model.CoupledProblem(p.n, subs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_loose_qp_kernels_work_row_by_row(seed):
+    # random loose QPs rarely repeat a clique shape, so each clique is
+    # grouped with its twin in a rescaled copy of the problem
+    rng = np.random.default_rng(seed)
+    p, x0 = random_loose_qp(rng, eq_redundancy=1, eq_at_interior=True)
+    runs = [ipm.solve(q, ONE, x0, record_log=False) for q in (p, rescaled(p))]
+    blocks = [blocks_of(r.setup) for r in runs]
+    for i in range(runs[0].setup.tree.q):
+        pair = [b[i] for b in blocks]
+        (group,) = model.shape_groups(pair)
+        assert_rows_alone(group, [r.network.agents[i] for r in runs], pair)
+
+
+def test_batched_reads_are_each_agents_own():
+    p, x0 = model.gen_flow(model.balanced_tree(3, 2), seed=2)
+    res = ipm.solve(p, x0=x0)
+    net = res.network
+    reads = [e for e in net.events if e["type"] == "read"]
+    assert reads and all(e["agent"] == e["owner"] for e in reads)
+    # every agent reads its own x and lam between one qp-message pass and
+    # the next (the candidate step), and after the last
+    starts = sorted(
+        {e["pass"] for e in net.events if e.get("kind") == "qp-message"}
+    )
+    assert len(starts) == res.iterations
+    for lo, hi in zip(starts, starts[1:] + [math.inf]):
+        seen = {(e["agent"], e["field"]) for e in reads if lo <= e["pass"] < hi}
+        for i in net.agents:
+            assert (i, "x") in seen and (i, "lam") in seen
+    # an injected cross-agent read is still the one violation
+    net._activate(2, lambda env: net.agents[0].get("x"))
+    rep = netsim.audit_privacy(net)
+    assert [(v["agent"], v["owner"]) for v in rep.violations] == [(2, 0)]
 
 
 def test_phase_one_certifies_infeasibility():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,6 +175,35 @@ def test_privacy_audit_flags_cross_agent_read():
     assert event["agent"] == 2 and event["owner"] == 0
     assert event["field"] == "secret"
     assert "violation" in str(rep)
+
+
+def test_local_step_sends_nothing_and_logs_owner_reads():
+    tree = star_tree(3)
+    net = netsim.Network(tree)
+    for i in net.agents:
+        net.agents[i].put("val", float(i))
+    net.run_up("qp-message", lambda env, inbox: 0.0)
+    before = (dict(net.mp_steps), dict(net.half_passes), net._pass_counter)
+    n_events = len(net.events)
+    groups = [SimpleNamespace(members=[1, 3]), SimpleNamespace(members=[0, 2])]
+    calls = []
+
+    def kernel(group, envs):
+        calls.append([e.id for e in envs])
+        for e, v in zip(envs, np.array([e.get("val") for e in envs]) * 2.0):
+            e.put("twice", v)
+
+    net.run_local(groups, kernel)
+    assert calls == [[1, 3], [0, 2]]
+    assert [net.agents[i].get("twice") for i in range(4)] == [0.0, 2.0, 4.0, 6.0]
+    assert (dict(net.mp_steps), dict(net.half_passes), net._pass_counter) == before
+    new = net.events[n_events:]
+    assert [(e["type"], e["agent"], e["owner"]) for e in new] == [
+        ("read", i, i) for i in (1, 3, 0, 2)
+    ]
+    # outside a pass or a local step nothing is logged
+    net.agents[0].get("val")
+    assert len(net.events) == n_events + 4
 
 
 # ---------------- step accounting ----------------
