@@ -10,8 +10,9 @@ structure of the problem:
 - :mod:`treeipm.treeqp`  -- quadratic message passing (per-clique elimination,
   upward/downward passes, the block-factorization consistency check)
 - :mod:`treeipm.ipm`     -- the distributed primal-dual interior-point method:
-  set-up with the equality reduction pass, the per-agent handlers that are
-  its only implementation, phase one, the split into coupling components
+  set-up with the equality reduction pass, the local kernels and pass-unit
+  handlers that are its only implementation, phase one, the split into
+  coupling components
 - :mod:`treeipm.oracle`  -- centralized dense reference implementations, the
   one independent check on the handlers
 - :mod:`treeipm.netsim`  -- deterministic multi-agent simulator with step

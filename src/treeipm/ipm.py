@@ -27,8 +27,11 @@ schedule of synchronous passes:
 
 Before passes 1, 3, 5 and each 7, a local step
 (:meth:`netsim.Network.run_local`) does every agent's own arithmetic, one
-kernel call per :class:`model.ShapeGroup`; the pass handlers only eliminate
-and fold the children's payloads into the same sums, in the same order.
+kernel call per :class:`model.ShapeGroup`, whose fields hold the members'
+iterates as arrays with one row each.  A pass calls each handler once per
+:class:`model.Unit`: members of one group and tree level, which eliminate
+one by one and fold the children's payloads into the same sums, in the
+same order, as each would alone.
 
 The decrease test compares a candidate's residuals with those of the
 current iterate.  The root keeps them from the pass that accepted the
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -203,38 +207,42 @@ def prepare(
         locs[i] = CliqueLocal(model.clique_layout(tree, i, agents), *raw.local_eq[i])
         net.agents[i].put("loc", locs[i])
 
-    def pre_up(env: netsim.AgentEnv, inbox):
-        loc = env.get("loc")
-        blocks_A = [loc.eq_A]
-        blocks_b = [loc.eq_b]
-        for e in inbox:
-            block = np.zeros((e.payload["A"].shape[0], len(loc.lay.clique)))
-            block[:, loc.lay.child_pos[e.src]] = e.payload["A"]
-            blocks_A.append(block)
-            blocks_b.append(e.payload["b"])
-        loc.eq_A, loc.eq_b, push_A, push_b = model.reduce_equality_block(
-            np.vstack(blocks_A),
-            np.concatenate(blocks_b),
-            loc.lay.zpos,
-            loc.lay.ypos,
-            is_root=env.parent is None,
-        )
-        if env.parent is None:
-            return None
-        return {"A": push_A, "b": push_b}
+    def pre_up(unit: netsim.Members, inboxes: list) -> list:
+        out = []
+        for env, inbox in zip(unit.envs, inboxes):
+            loc = env.get("loc")
+            blocks_A = [loc.eq_A]
+            blocks_b = [loc.eq_b]
+            for e in inbox:
+                block = np.zeros((e.payload["A"].shape[0], len(loc.lay.clique)))
+                block[:, loc.lay.child_pos[e.src]] = e.payload["A"]
+                blocks_A.append(block)
+                blocks_b.append(e.payload["b"])
+            loc.eq_A, loc.eq_b, push_A, push_b = model.reduce_equality_block(
+                np.vstack(blocks_A),
+                np.concatenate(blocks_b),
+                loc.lay.zpos,
+                loc.lay.ypos,
+                is_root=env.parent is None,
+            )
+            out.append(None if env.parent is None else {"A": push_A, "b": push_b})
+        return out
 
     net.run_up("eq-constraint-push", pre_up)
     for level in reversed(net.levels):
         for i in level:
             treeqp.check_equality_rank(locs[i].eq_A[:, locs[i].lay.zpos], i)
-    for i, loc in locs.items():
-        d, rows = len(loc.lay.clique), loc.eq_A.shape[0]
-        data = treeqp.CliqueQpData(
-            loc.lay.clique, np.zeros((d, d)), np.zeros(d), loc.eq_A, np.zeros(rows)
-        )
-        data.eq = treeqp.equality_parts(loc.lay, loc.eq_A)
-        net.agents[i].put("qp", data)
     groups = model.shape_groups((i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in locs.items())
+    net.set_groups(groups)
+    for grp, members in zip(groups, net.groups):
+        B, rows, d = grp.eq_A.shape
+        H, r, beta = np.zeros((B, d, d)), np.zeros((B, d)), np.zeros((B, rows))
+        members.put("kkt", (H, r, beta))
+        for b, i in enumerate(grp.members):
+            loc = locs[i]
+            data = treeqp.CliqueQpData(loc.lay.clique, H[b], r[b], loc.eq_A, beta[b])
+            data.eq = treeqp.equality_parts(loc.lay, loc.eq_A)
+            net.agents[i].put("qp", data)
     local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
     a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
     return SolverSetup(p, tree, a, locs, groups, net)
@@ -260,7 +268,7 @@ def initial_state(
     lam0: Mapping[int, np.ndarray] | None = None,
     v0: Mapping[int, np.ndarray] | None = None,
 ) -> None:
-    """Check the start and write each agent's ``x``, ``v`` and ``lam``.
+    """Check the start and write each group's ``x``, ``v`` and ``lam``.
 
     ``lam0`` maps every subproblem to positive multipliers and ``v0``
     every clique to its equality multipliers; each defaults to all ones.
@@ -274,10 +282,11 @@ def initial_state(
         lam[k] = start_vector(lam0, k, sp.m, "lam0")
         if sp.m and lam[k].min() <= 0:
             raise ProblemFormatError(f"lam0[{k}] must be positive")
-    for i, env in setup.network.agents.items():
-        env.put("x", x0[list(setup.tree.cliques[i])])
-        env.put("v", start_vector(v0, i, setup.locals[i].eq_A.shape[0], "v0"))
-        env.put("lam", {k: lam[k] for k in setup.assignment.phi[i]})
+    for grp, members in zip(setup.groups, setup.network.groups):
+        members.put("x", x0[[list(setup.tree.cliques[i]) for i in grp.members]])
+        v = [start_vector(v0, i, grp.eq_b.shape[1], "v0") for i in grp.members]
+        members.put("v", np.array(v))
+        members.put("lam", [np.array([lam[k] for k in ks]) for ks in zip(*grp.keys)])
 
 
 def _step_scale(m_total: int) -> float:
@@ -301,33 +310,13 @@ def _next_t(eta_hat: float, eta_aff: float, m_total: int) -> float:
 
 # ------------------ local kernels ------------------
 #
-# A kernel does one local step for a model.ShapeGroup: the members' data
-# are stacked on a leading axis and each numpy call works row by row, so a
-# member's result is bitwise the one it gets alone.  Products keep the
-# per-clique operand layouts (np.matvec for M @ x, on swapped axes for
-# M.T @ x, np.vecmat for x @ M, np.vecdot for x @ y) and columns are taken
-# C-ordered, so each row goes through the same BLAS call (a strided dot
-# sums in another order).  A point is evaluated once: its kernel keeps per
-# subproblem (g, jac, grad, lam), the agent's ``at`` once adopted.
-
-
-def _stack(rows: Sequence[np.ndarray]) -> np.ndarray:
-    # a lone row is viewed: every kept row is C-ordered, like a stack
-    return rows[0][None] if len(rows) == 1 else np.array(rows)
-
-
-def _slots(rows: Iterable) -> list[np.ndarray]:
-    """The members' per-subproblem sequences stacked position by position."""
-    return [_stack(r) for r in zip(*rows)]
-
-
-def _rows(stacks: Sequence[np.ndarray], B: int) -> list[tuple]:
-    """Each member's rows of ``stacks``: the inverse of :func:`_slots`."""
-    return list(zip(*stacks)) if stacks else [()] * B
-
-
-def _at(envs: list[netsim.AgentEnv]) -> list[list[np.ndarray]]:
-    return [_slots(slot) for slot in zip(*[e.get("at") for e in envs])]
+# A kernel does one local step for a model.ShapeGroup; each numpy call
+# works row by row, so a member's result is bitwise the one it gets alone.
+# Products keep the per-clique operand layouts (np.matvec for M @ x, on
+# swapped axes for M.T @ x, np.vecmat for x @ M, np.vecdot for x @ y) and
+# columns are taken C-ordered, so each row goes through the same BLAS call
+# (a strided dot sums in another order).  A point is evaluated once: its
+# kernel keeps per subproblem (g, jac, grad, lam), ``at`` once adopted.
 
 
 def _eval_slot(s: model.SlotStack, X: np.ndarray):
@@ -350,15 +339,16 @@ def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     )
 
 
-def _qp_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
-    """Each clique's barrier KKT piece for the affine (uncentered) step, into
-    its ``qp``; the point passed the start check or the acceptance test."""
-    X = _stack([e.get("x") for e in envs])
-    V = _stack([e.get("v") for e in envs])
-    B, d = X.shape
-    H = np.zeros((B, d, d))
-    R = np.zeros((B, d))
-    for s, (G, JAC, GRAD, L) in zip(grp.slots, _at(envs)):
+def _qp_kernel(m: netsim.Members) -> None:
+    """Each clique's barrier KKT piece for the affine (uncentered) step,
+    written over the group's ``kkt = (H, r, beta)``, which the members'
+    ``qp`` view; the point passed the start check or the acceptance test."""
+    grp = m.group
+    X, V = m.get("x"), m.get("v")
+    H, R, BETA = m.get("kkt")
+    H.fill(0.0)
+    R.fill(0.0)
+    for s, (G, JAC, GRAD, L) in zip(grp.slots, m.get("at")):
         Hk = s.P.copy()
         for j, nonzero, Q in s.quad:
             if nonzero:
@@ -372,12 +362,10 @@ def _qp_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
         R[s.cols] += GRAD
     if grp.eq_A.shape[1]:
         R += np.matvec(grp.eq_A.swapaxes(1, 2), V)
-    for e, h, r, beta in zip(envs, H, R, grp.eq_b - np.matvec(grp.eq_A, X)):
-        data = e.get("qp")
-        data.H, data.r, data.beta = h, r, beta
+    np.subtract(grp.eq_b, np.matvec(grp.eq_A, X), out=BETA)
 
 
-def _corrector_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+def _corrector_kernel(m: netsim.Members) -> None:
     """Each agent's own share of the predictor step, kept as ``pred``.
 
     The affine multiplier direction is ``dlam = -lam - lam * J dx / g``.
@@ -388,12 +376,12 @@ def _corrector_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> Non
     coefficients per subproblem with inequalities, the clique's centering
     and second-order right-hand sides as two columns, and ``dlam * J dx``.
     """
-    DX, _ = _slots([e.get("aff") for e in envs])
+    DX = m.get("aff")[0]
     B, d = DX.shape
     amax = np.zeros(B) + np.inf
     gaps, socs = [], []
     R = np.zeros((B, d, 2))
-    for s, (G, JAC, _, L) in zip(grp.slots, _at(envs)):
+    for s, (G, JAC, _, L) in zip(m.group.slots, m.get("at")):
         if G.shape[1] == 0:
             socs.append(G)
             continue
@@ -421,36 +409,32 @@ def _corrector_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> Non
         terms[:, :, 0], terms[:, :, 1] = 1.0, socs[-1]
         terms /= G[:, :, None]
         R[s.cols] -= JAC.swapaxes(1, 2) @ terms
-    for e, a, gap, r, soc in zip(envs, amax.tolist(), _rows(gaps, B), R, _rows(socs, B)):
-        e.put("pred", (a, gap, r, soc))
+    m.put("pred", (amax, gaps, R, socs))
 
 
-def _step_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+def _step_kernel(m: netsim.Members) -> None:
     """Each agent's ``dlam`` per subproblem for the corrected ``dx`` and the
     weights ``w = (1/t, 1)``, and its ``bound``: the largest step up to 1
     keeping its multipliers positive."""
-    DX = _stack([e.get("dx") for e in envs])
-    inv_t = _stack([e.get("w") for e in envs])[:, :1]
-    B = len(envs)
-    bound = np.zeros(B) + 1.0
+    DX = m.get("dx")
+    inv_t = m.get("w")[:, :1]
+    bound = np.zeros(len(DX)) + 1.0
     dlams = []
-    socs = _slots([e.get("pred")[3] for e in envs])
-    for s, (G, JAC, _, L), SOC in zip(grp.slots, _at(envs), socs):
+    for s, (G, JAC, _, L), SOC in zip(m.group.slots, m.get("at"), m.get("pred")[3]):
         D = G
         if G.shape[1]:
             r_cent = -L * G - inv_t - SOC
             D = (r_cent - L * np.matvec(JAC, s.take(DX))) / G
             bound = np.minimum(bound, _least_ratio(L, -D))
         dlams.append(D)
-    for e, keys, a, dlam in zip(envs, grp.keys, bound.tolist(), _rows(dlams, B)):
-        e.put("dlam", dict(zip(keys, dlam)))
-        e.put("bound", a)
+    m.put("dlam", dlams)
+    m.put("bound", bound)
 
 
-def _residual_terms(grp: model.ShapeGroup, envs: list[netsim.AgentEnv], X, V, LAMS):
+def _residual_terms(grp: model.ShapeGroup, X, V, LAMS) -> tuple[tuple, list[tuple]]:
     """Each agent's ``own`` terms at ``(X, V, LAMS)``: whether its ``g`` is
     negative, its dual residual before the children's pushes, its squared
-    primal residual and ``-lam'g`` per subproblem.  Returns each member's
+    primal residual and ``-lam'g`` per subproblem; and per subproblem
     ``(g, jac, grad, lam)`` there."""
     B, d = X.shape
     gmax = np.zeros(B) - np.inf
@@ -465,57 +449,166 @@ def _residual_terms(grp: model.ShapeGroup, envs: list[netsim.AgentEnv], X, V, LA
         else:
             W[s.cols] += GRAD + 0.0
         ETA[:, t] = -np.vecdot(L, G)
-        evals.append(_rows((G, JAC, GRAD, L), B))
+        evals.append((G, JAC, GRAD, L))
     if grp.eq_A.shape[1]:
         W += np.matvec(grp.eq_A.swapaxes(1, 2), V)
     PR = np.matvec(grp.eq_A, X) - grp.eq_b
-    own = zip((~(gmax >= 0)).tolist(), W, np.vecdot(PR, PR).tolist(), ETA.tolist())
-    for e, terms in zip(envs, own):
-        e.put("own", terms)
-    return _rows(evals, B)
+    return (~(gmax >= 0), W, np.vecdot(PR, PR), ETA), evals
 
 
-def _start_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
-    """:func:`_residual_terms` at the start point, kept as ``at``."""
-    X = _stack([e.get("x") for e in envs])
-    V = _stack([e.get("v") for e in envs])
-    LAMS = _slots([e.get("lam").values() for e in envs])
-    for e, at in zip(envs, _residual_terms(grp, envs, X, V, LAMS)):
-        e.put("at", at)
+def _start_kernel(m: netsim.Members) -> None:
+    """:func:`_residual_terms` at the start point, kept as ``own`` and ``at``."""
+    own, at = _residual_terms(m.group, m.get("x"), m.get("v"), m.get("lam"))
+    m.put("own", own)
+    m.put("at", at)
 
 
-def _candidate_kernel(grp: model.ShapeGroup, envs: list[netsim.AgentEnv]) -> None:
+def _candidate_kernel(m: netsim.Members) -> None:
     """Each agent's candidate point at its step ``alpha_bar`` and
-    :func:`_residual_terms` there; keeps both as ``cand``."""
-    alpha = np.array([e.get("alpha_bar") for e in envs])[:, None]
-    X = _stack([e.get("x") for e in envs]) + alpha * _stack([e.get("dx") for e in envs])
-    V = _stack([e.get("v") for e in envs]) + alpha * _stack([e.get("dv") for e in envs])
-    lams = zip(*(_slots([e.get(k).values() for e in envs]) for k in ("lam", "dlam")))
-    LAMS = [L + alpha * D for L, D in lams]
-    evals = _residual_terms(grp, envs, X, V, LAMS)
-    for e, keys, x, v, lam, at in zip(envs, grp.keys, X, V, _rows(LAMS, len(envs)), evals):
-        e.put("cand", (x, v, dict(zip(keys, lam)), at))
+    :func:`_residual_terms` there; keeps ``own`` and, with the point, ``cand``."""
+    alpha = m.get("alpha_bar")[:, None]
+    X = m.get("x") + alpha * m.get("dx")
+    V = m.get("v") + alpha * m.get("dv")
+    LAMS = [L + alpha * D for L, D in zip(m.get("lam"), m.get("dlam"))]
+    own, at = _residual_terms(m.group, X, V, LAMS)
+    m.put("own", own)
+    m.put("cand", (X, V, LAMS, at))
 
 
-def _residual_fold(lay: model.CliqueLayout, own: tuple, inbox: list[netsim.Envelope]) -> dict:
-    """One agent's share at a point: the squared residual norms and the gap
-    ``-sum lam'g`` over the subtree, and ``push``, the dual residual on the
-    separator; ``ok = False`` with zero sums outside the strict interior."""
-    ok, w, own_p, own_eta = own
-    if not (ok and all([e.payload["ok"] for e in inbox])):
-        return {"ok": False, "p": 0.0, "d": 0.0, "push": np.zeros(len(lay.sep)), "eta": 0.0}
-    p_sq = d_sq = eta = 0.0
-    for e in inbox:
-        p_sq += e.payload["p"]
-        d_sq += e.payload["d"]
-        eta += e.payload["eta"]
-        w[lay.child_pos[e.src]] += e.payload["push"]
-    p_sq += own_p
-    own_w = w[lay.zpos]
-    d_sq += float(own_w @ own_w)
-    for e in own_eta:
-        eta += e
-    return {"ok": True, "p": p_sq, "d": d_sq, "push": w[lay.ypos], "eta": eta}
+# ------------------ pass handlers ------------------
+#
+# A handler runs one pass unit.  The children's vector payloads are stacked
+# child by child and scalars summed as Python floats per member, so every
+# sum keeps the order a lone agent's has.
+
+
+def _stacked(envelopes: Sequence[netsim.Envelope], key: str | None = None) -> np.ndarray:
+    """The envelopes' array payloads (or their ``key`` entries) on a member
+    axis; a lone one is viewed, as every payload array is contiguous."""
+    rows = [e.payload if key is None else e.payload[key] for e in envelopes]
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _from_parent(unit: netsim.Members, envelopes: list, name: str) -> list:
+    """Each member's payload from its parent, or the root's own ``name``."""
+    return [unit.envs[0].get(name)] if envelopes[0] is None else [e.payload for e in envelopes]
+
+
+def _residual_up(watched: bool, unit: netsim.Members, inboxes: list) -> list[dict]:
+    """Each member's share at a point: the squared residual norms and the
+    gap ``-sum lam'g`` over its subtree, and ``push``, the dual residual on
+    its separator; ``ok = False`` with zero sums outside the strict
+    interior.  If ``watched``, also ``negative``: whether every watched
+    variable of the subtree is negative at the candidate."""
+    grp = unit.group
+    refused = {"ok": False, "p": 0.0, "d": 0.0, "push": None, "eta": 0.0}
+    ok, W, P, ETA = unit.get("own")
+    ok, sums = ok.tolist(), [(0.0, 0.0, 0.0)] * len(ok)
+    for pos, kids in zip(unit.spec.child_pos, zip(*inboxes)):
+        pays = [e.payload for e in kids]
+        ok = [good and q["ok"] for good, q in zip(ok, pays)]
+        sums = [(p + q["p"], d + q["d"], eta + q["eta"]) for (p, d, eta), q in zip(sums, pays)]
+        W[:, pos] += np.array([q["push"] for q in pays])
+    own: Iterable = [None] * len(ok)
+    if any(ok):
+        own_w = W.take(grp.zpos, axis=1)
+        squares = np.vecdot(own_w, own_w).tolist()
+        own = zip(P.tolist(), squares, ETA.tolist(), W.take(grp.ypos, axis=1))
+    out = []
+    for good, (p, d, eta), terms in zip(ok, sums, own):
+        if not good:
+            out.append(dict(refused, push=np.zeros(len(grp.ypos))))
+            continue
+        own_p, own_d, own_eta, push = terms
+        for e in own_eta:
+            eta += e
+        out.append({"ok": True, "p": p + own_p, "d": d + own_d, "push": push, "eta": eta})
+    if watched:
+        neg = np.all((unit.get("cand")[0] < 0) | ~unit.get("watch"), axis=1)
+        for kids in zip(*inboxes):
+            neg &= [e.payload["negative"] for e in kids]
+        out = [dict(o, negative=n) for o, n in zip(out, neg.tolist())]
+    return out
+
+
+def _dir_up(unit: netsim.Members, inboxes: list) -> list:
+    """Each member eliminates its clique; the pivot solves are kept stacked."""
+    msgs, sols = [], []
+    for env, inbox in zip(unit.envs, inboxes):
+        msg, rec = treeqp.eliminate(
+            env.get("loc").lay, env.get("qp"), [(e.src, e.payload) for e in inbox]
+        )
+        env.put("factor", rec.factor)
+        env.count_factorization()
+        msgs.append(msg)
+        sols.append(rec.sol)
+    unit.put("solT", treeqp.stack_solutions(sols))
+    return msgs
+
+
+def _dir_down(unit: netsim.Members, envelopes: list) -> list:
+    grp = unit.group
+    Y = np.zeros((1, 0)) if envelopes[0] is None else _stacked(envelopes)
+    aff = treeqp.recover_clique(grp.zpos, grp.ypos, unit.get("solT"), Y)
+    unit.put("aff", aff)
+    return [aff[0].take(pos, axis=1) for pos in unit.spec.child_pos]
+
+
+def _corr_up(unit: netsim.Members, inboxes: list) -> list[dict]:
+    grp = unit.group
+    amax_own, own_gaps, R, _ = unit.get("pred")
+    amax, gap, child_q = [1.0] * len(amax_own), np.zeros((len(amax_own), 4)), []
+    for pos, kids in zip(unit.spec.child_pos, zip(*inboxes)):
+        amax = [min(a, e.payload["alpha"]) for a, e in zip(amax, kids)]
+        gap += _stacked(kids, "gap")
+        child_q.append((pos, _stacked(kids, "msg")))
+    amax = [min(a, own) for a, own in zip(amax, amax_own.tolist())]
+    for row in own_gaps:
+        gap -= row
+    factors = [env.get("factor") for env in unit.envs]
+    q, corrT = treeqp.eliminate_rhs(grp.zpos, grp.ypos, factors, unit.get("solT"), R, child_q)
+    unit.put("corrT", corrT)
+    return [{"alpha": a, "gap": g, "msg": m} for a, g, m in zip(amax, gap, q)]
+
+
+def _corr_down(unit: netsim.Members, envelopes: list) -> list:
+    grp = unit.group
+    root = envelopes[0] is None
+    t = [unit.envs[0].get("t")] if root else [e.payload["t"] for e in envelopes]
+    Y = np.zeros((1, 0)) if root else _stacked(envelopes, "y")
+    # corrector = centering column / t + second-order column
+    w = np.array([(0.0 if math.isinf(a) else 1.0 / a, 1.0) for a in t])
+    unit.put("w", w)
+    h, nz = unit.get("corrT").swapaxes(1, 2), len(grp.zpos)
+    offsets = (np.matvec(h[:, :nz], w), np.matvec(h[:, nz:], w))
+    dx_c, dv_c = treeqp.recover_clique(grp.zpos, grp.ypos, unit.get("solT"), Y, offsets)
+    dx_aff, dv_aff = unit.get("aff")
+    unit.put("dx", dx_aff + dx_c)
+    unit.put("dv", dv_aff + dv_c)
+    return [
+        [{"t": a, "y": y} for a, y in zip(t, dx_c.take(pos, axis=1))] for pos in unit.spec.child_pos
+    ]
+
+
+def _bound_up(scale: float, unit: netsim.Members, inboxes: list) -> list[float]:
+    alpha = [scale * bound for bound in unit.get("bound").tolist()]
+    for kids in zip(*inboxes):
+        alpha = [min(a, e.payload) for a, e in zip(alpha, kids)]
+    return alpha
+
+
+def _alpha_down(unit: netsim.Members, envelopes: list) -> list:
+    alpha = _from_parent(unit, envelopes, "alpha")
+    unit.put("alpha_bar", np.array(alpha))
+    return [alpha] * len(unit.spec.child_pos)
+
+
+def _accept_down(unit: netsim.Members, envelopes: list) -> list:
+    """Every member adopts its candidate and passes the stop flag on."""
+    stop = _from_parent(unit, envelopes, "stop")
+    for name, value in zip(("x", "v", "lam", "at"), unit.get("cand")):
+        unit.put(name, value)
+    return [stop] * len(unit.spec.child_pos)
 
 
 def _accept_test(
@@ -598,100 +691,24 @@ def solve(
         )
     net = setup.network
     tree = setup.tree
-    root = tree.root
+    root = net.agents[tree.root]
     m_total = p.m_total
-    scale = _step_scale(m_total)
+    bound_up = functools.partial(_bound_up, _step_scale(m_total))
 
     watched = set(stop_when_negative)
+    candidate_up = functools.partial(_residual_up, bool(watched))
     if watched:
-        for i, env in net.agents.items():
-            lay = setup.locals[i].lay
-            env.put("watch", [t for t, u in zip(lay.zpos, lay.elim) if u in watched])
-
-    groups = setup.groups
-
-    def residual_up(env, inbox):
-        return _residual_fold(env.get("loc").lay, env.get("own"), inbox)
+        for members in net.groups:
+            watch = np.zeros(members.get("x").shape, dtype=bool)
+            for b, i in enumerate(members.ids):
+                lay = setup.locals[i].lay
+                watch[b, [t for t, u in zip(lay.zpos, lay.elim) if u in watched]] = True
+            members.put("watch", watch)
 
     # the start point's residuals, the first decrease-test reference; after
     # that the root keeps the accepted candidate's
-    net.run_local(groups, _start_kernel)
-    ref = net.run_up("residual-partial", residual_up)
-
-    def dir_up(env, inbox):
-        msg, rec = treeqp.eliminate(
-            env.get("loc").lay, env.get("qp"), [(e.src, e.payload) for e in inbox]
-        )
-        env.put("rec", rec)
-        env.count_factorization()
-        return msg if env.parent is not None else None
-
-    def dir_down(env, envelope):
-        y = envelope.payload if envelope is not None else np.zeros(0)
-        rec = env.get("rec")
-        aff = treeqp.recover_clique(rec, y)
-        env.put("aff", aff)
-        return {c: aff[0][rec.lay.child_pos[c]] for c in env.children}
-
-    def corr_up(env, inbox):
-        amax_own, own_gaps, r, _ = env.get("pred")
-        amax = 1.0
-        gap = np.zeros(4)
-        for e in inbox:
-            amax = min(amax, e.payload["alpha"])
-            gap += e.payload["gap"]
-        amax = min(amax, amax_own)
-        for row in own_gaps:
-            gap -= row
-        q, h1, h2 = treeqp.eliminate_rhs(
-            env.get("rec"), r, [(e.src, e.payload["msg"]) for e in inbox]
-        )
-        env.put("corr", (h1, h2))
-        return {"alpha": amax, "gap": gap, "msg": q}
-
-    def corr_down(env, envelope):
-        if envelope is None:
-            t, y = env.get("t"), np.zeros(0)
-        else:
-            t, y = envelope.payload["t"], envelope.payload["y"]
-        # corrector = centering column / t + second-order column
-        w = np.array([0.0 if math.isinf(t) else 1.0 / t, 1.0])
-        env.put("w", w)
-        h1, h2 = env.get("corr")
-        rec = env.get("rec")
-        dx_c, dv_c = treeqp.recover_clique(rec, y, (h1 @ w, h2 @ w))
-        dx_aff, dv_aff = env.get("aff")
-        env.put("dx", dx_aff + dx_c)
-        env.put("dv", dv_aff + dv_c)
-        return {c: {"t": t, "y": dx_c[rec.lay.child_pos[c]]} for c in env.children}
-
-    def bound_up(env, inbox):
-        alpha = scale * env.get("bound")
-        for e in inbox:
-            alpha = min(alpha, e.payload)
-        return alpha
-
-    def alpha_down(env, envelope):
-        a = envelope.payload if envelope is not None else env.get("alpha_bar")
-        env.put("alpha_bar", a)
-        return {c: a for c in env.children}
-
-    def cand_up(env, inbox):
-        out = _residual_fold(env.get("loc").lay, env.get("own"), inbox)
-        if watched:
-            out["negative"] = all(e.payload["negative"] for e in inbox) and bool(
-                np.all(env.get("cand")[0][env.get("watch")] < 0)
-            )
-        return out
-
-    def accept_down(env, envelope):
-        stop = envelope.payload if envelope is not None else env.get("stop")
-        x, v, lam, at = env.get("cand")
-        env.put("x", x)
-        env.put("v", v)
-        env.put("lam", lam)
-        env.put("at", at)
-        return {c: stop for c in env.children}
+    net.run_local(_start_kernel)
+    ref = net.run_up("residual-partial", functools.partial(_residual_up, False))
 
     net.begin_phase("solve")
     trace = ConvergenceTrace()
@@ -700,25 +717,25 @@ def solve(
     iterations = 0
     for it in range(1, params.max_iters + 1):
         iterations = it
-        net.run_local(groups, _qp_kernel)
-        net.run_up("qp-message", dir_up)
-        net.run_down("separator-solution", dir_down)
-        net.run_local(groups, _corrector_kernel)
-        pred = net.run_up("corrector-message", corr_up)
+        net.run_local(_qp_kernel)
+        net.run_up("qp-message", _dir_up)
+        net.run_down("separator-solution", _dir_down)
+        net.run_local(_corrector_kernel)
+        pred = net.run_up("corrector-message", _corr_up)
         alpha_aff = pred["alpha"]
         c0, c1, c2, c3 = pred["gap"].tolist()
         eta_aff = c0 + alpha_aff * (c1 + alpha_aff * (c2 + alpha_aff * c3))
         t = _next_t(c0, eta_aff, m_total)
-        net.agents[root].put("t", t)
-        net.run_down("corrector-solution", corr_down)
-        net.run_local(groups, _step_kernel)
+        root.put("t", t)
+        net.run_down("corrector-solution", _corr_down)
+        net.run_local(_step_kernel)
         alpha = net.run_up("alpha-bound", bound_up)
-        net.agents[root].put("alpha_bar", alpha)
-        net.run_down("alpha-broadcast", alpha_down)
+        root.put("alpha", alpha)
+        net.run_down("alpha-broadcast", _alpha_down)
         backtracks = 0
         while True:
-            net.run_local(groups, _candidate_kernel)
-            cand = net.run_up("residual-partial", cand_up)
+            net.run_local(_candidate_kernel)
+            cand = net.run_up("residual-partial", candidate_up)
             if _accept_test(cand, ref, alpha, params):
                 break
             alpha *= params.beta
@@ -727,8 +744,8 @@ def solve(
                 raise LineSearchStallError(
                     f"line search stalled at iteration {it} (alpha {alpha:.3e})"
                 )
-            net.agents[root].put("alpha_bar", alpha)
-            net.run_down("alpha-broadcast", alpha_down)
+            root.put("alpha", alpha)
+            net.run_down("alpha-broadcast", _alpha_down)
         eta = cand["eta"]
         stop = (
             math.sqrt(cand["p"]) <= params.eps_feas
@@ -736,8 +753,8 @@ def solve(
             and eta <= params.eps
         )
         negative = bool(watched) and cand["negative"]
-        net.agents[root].put("stop", stop or negative)
-        net.run_down("stop-broadcast", accept_down)
+        root.put("stop", stop or negative)
+        net.run_down("stop-broadcast", _accept_down)
         ref = cand
         trace.rows.append(
             TraceRow(
@@ -757,11 +774,12 @@ def solve(
             status = "converged" if stop else "negative"
             break
 
-    x_clique = {i: net.agents[i].get("x") for i in range(tree.q)}
-    v_out = {i: net.agents[i].get("v") for i in range(tree.q)}
+    agents = net.agents
+    x_clique = {i: agents[i].get("x") for i in range(tree.q)}
+    v_out = {i: agents[i].get("v") for i in range(tree.q)}
     lam_out: dict[int, np.ndarray] = {}
     for i in range(tree.q):
-        lam_out.update(net.agents[i].get("lam"))
+        lam_out.update(zip(setup.assignment.phi[i], agents[i].get("lam")))
     x_global = np.zeros(p.n)
     for i in range(tree.q):
         lay = setup.locals[i].lay

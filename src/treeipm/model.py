@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -308,13 +308,15 @@ class Assignment:
 def assign(p: CoupledProblem, tree: CliqueTree) -> Assignment:
     """Place every agent on the lowest-indexed clique covering its scope."""
     clique_sets = [set(c) for c in tree.cliques]
+    # a covering clique holds the scope's first variable
+    holding: dict[int, list[int]] = {}
+    for i, c in enumerate(tree.cliques):
+        for v in c:
+            holding.setdefault(v, []).append(i)
     phi: dict[int, list[int]] = {i: [] for i in range(tree.q)}
     for k, sp in enumerate(p.subproblems):
-        home = None
-        for i, cs in enumerate(clique_sets):
-            if set(sp.J) <= cs:
-                home = i
-                break
+        scope = set(sp.J)
+        home = next((i for i in holding.get(sp.J[0], ()) if scope <= clique_sets[i]), None)
         if home is None:
             raise ProblemFormatError(
                 f"scope {list(sp.J)} of subproblem {k} is not covered by any clique"
@@ -351,24 +353,26 @@ class CliqueLayout:
     """The static index data of one clique, fixed with the rooted tree.
 
     ``zpos`` and ``ypos`` locate the eliminated and the separator variables
-    in the clique, ``child_pos[c]`` the separator of child ``c``; ``zz``,
-    ``zy``, ``yy`` and ``child_ix[c]`` are the matching ``np.ix_`` tuples.
+    in the clique, ``child_pos[c]`` the separator of child ``c``, in child
+    order; ``zz``, ``zy``, ``yy`` and ``child_ix[c]`` index the matching
+    blocks of the flattened clique matrix.
     ``subs`` holds ``(k, sp, pos, ix, rows)`` for each subproblem on the
     clique: its scope positions, their ``np.ix_`` tuple and its stacked
     inequality rows.
     """
 
     index: int
+    depth: int
     clique: IndexSet
     sep: IndexSet
     elim: IndexSet
     zpos: np.ndarray
     ypos: np.ndarray
-    zz: tuple
-    zy: tuple
-    yy: tuple
+    zz: np.ndarray
+    zy: np.ndarray
+    yy: np.ndarray
     child_pos: dict[int, np.ndarray]
-    child_ix: dict[int, tuple]
+    child_ix: dict[int, np.ndarray]
     subs: list[tuple[int, Subproblem, np.ndarray, tuple, InequalityRows]]
 
 
@@ -388,10 +392,11 @@ def clique_layout(
     for k, sp in agents:
         pos = positions(sp.J, clique)
         subs.append((k, sp, pos, np.ix_(pos, pos), stack_inequalities(sp)))
+    d = len(clique)
     return CliqueLayout(
-        i, clique, sep, elim, zpos, ypos,
-        np.ix_(zpos, zpos), np.ix_(zpos, ypos), np.ix_(ypos, ypos),
-        child_pos, {c: np.ix_(pos, pos) for c, pos in child_pos.items()}, subs,
+        i, tree.depth[i], clique, sep, elim, zpos, ypos,
+        zpos[:, None] * d + zpos, zpos[:, None] * d + ypos, ypos[:, None] * d + ypos,
+        child_pos, {c: pos[:, None] * d + pos for c, pos in child_pos.items()}, subs,
     )
 
 
@@ -419,6 +424,15 @@ class SlotStack:
         return X if self.cols is Ellipsis else X.take(self.pos, axis=1)
 
 
+class Unit(NamedTuple):
+    """Rows of a :class:`ShapeGroup` on one tree level whose children's
+    separators sit at the same positions: they take part in a pass together."""
+
+    depth: int
+    rows: slice
+    child_pos: tuple[np.ndarray, ...]
+
+
 @dataclass
 class ShapeGroup:
     """Cliques of one layout shape, their static data stacked on a leading
@@ -429,6 +443,9 @@ class ShapeGroup:
     keys: list[tuple[int, ...]]
     eq_A: np.ndarray
     eq_b: np.ndarray
+    zpos: np.ndarray
+    ypos: np.ndarray
+    units: list[Unit]
 
 
 def _stack_slot(subs: Sequence[tuple], size: int) -> SlotStack:
@@ -449,13 +466,27 @@ def _stack_slot(subs: Sequence[tuple], size: int) -> SlotStack:
     )
 
 
+def _unit_key(lay: CliqueLayout) -> tuple:
+    return lay.depth, tuple(pos.tobytes() for pos in lay.child_pos.values())
+
+
+def _units(lays: Sequence[CliqueLayout]) -> list[Unit]:
+    """The runs of ``lays`` of one :func:`_unit_key`."""
+    starts = [b for b in range(len(lays)) if b == 0 or _unit_key(lays[b]) != _unit_key(lays[b - 1])]
+    return [
+        Unit(lays[lo].depth, slice(lo, hi), tuple(lays[lo].child_pos.values()))
+        for lo, hi in zip(starts, starts[1:] + [len(lays)])
+    ]
+
+
 def shape_groups(
     blocks: Iterable[tuple[int, CliqueLayout, np.ndarray, np.ndarray]],
 ) -> list[ShapeGroup]:
     """Group ``(clique, layout, eq_A, eq_b)`` in order of first appearance by
     shape: clique size, eliminated and separator positions, equality-row
     count and, per hosted subproblem, scope positions, inequality count and
-    quadratic rows (with whether each ``Q`` is nonzero); stack each group."""
+    quadratic rows (with whether each ``Q`` is nonzero); stack each group,
+    its members ordered into :class:`Unit` runs."""
     by_shape: dict[tuple, list] = {}
     for i, lay, eq_A, eq_b in blocks:
         shape = (len(lay.clique), lay.zpos.tobytes(), lay.ypos.tobytes(), len(eq_A)) + tuple(
@@ -465,6 +496,7 @@ def shape_groups(
         by_shape.setdefault(shape, []).append((i, lay, eq_A, eq_b))
     groups = []
     for members in by_shape.values():
+        members.sort(key=lambda block: _unit_key(block[1]))
         ids, lays, As, bs = zip(*members)
         size = len(lays[0].clique)
         groups.append(ShapeGroup(
@@ -473,6 +505,9 @@ def shape_groups(
             [tuple(k for k, *_ in lay.subs) for lay in lays],
             np.array(As),
             np.array(bs),
+            lays[0].zpos,
+            lays[0].ypos,
+            _units(lays),
         ))
     return groups
 

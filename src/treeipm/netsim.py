@@ -1,25 +1,27 @@
 """Deterministic multi-agent simulation over a rooted clique tree.
 
 One agent per clique.  Communication happens in synchronous passes: an
-upward pass activates agents deepest level first, each non-root agent
-handing exactly one envelope to its parent; a downward pass runs root
-first, each agent handing one envelope to every child.  Handlers receive
-only their own environment plus delivered envelopes, so an honest handler
-cannot observe remote state; every read of agent-local storage is logged
-and audited after the run.  A local step runs the agents' own work, one
-kernel call per group of agents, and logs each read as the owner's.
+upward pass runs deepest level first, each non-root agent handing exactly
+one envelope to its parent; a downward pass runs root first, each agent
+handing one envelope to every child.  Agents are stored in groups, each
+field of a group an array with one row per member (or a list or tuple of
+such arrays).  A pass calls its handler once per *pass unit*, members of
+a group on one tree level, and a local step calls its kernel once per
+group; either computes each member's result from that member's rows and
+envelopes alone, so every read is logged as its owner's and audited.
 
 Counters track message-passing steps (one per tree level per pass),
-per-agent factorizations and per-agent envelope traffic.
+per-agent factorizations and the envelopes each agent sent and received.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,12 +43,13 @@ ENVELOPE_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     src: int
     dst: int
     kind: str
     payload: Any
+
 
 
 def _summarize(payload: Any) -> Any:
@@ -61,18 +64,38 @@ def _summarize(payload: Any) -> Any:
     return type(payload).__name__
 
 
+def _take(value: Any, rows: int | slice) -> Any:
+    """``rows`` of a group field: of each array in it, keeping its nesting."""
+    if type(value) is np.ndarray:
+        return value[rows]
+    out = [_take(v, rows) for v in value]
+    return out if type(value) is list else tuple(out)
+
+
+def _put(old: Any, rows: slice, size: int, value: Any) -> Any:
+    """Field ``old`` of ``size`` rows (or ``None``) with ``rows`` set to ``value``."""
+    if type(value) is not np.ndarray:
+        olds = [None] * len(value) if old is None else old
+        out = [_put(o, rows, size, v) for o, v in zip(olds, value)]
+        return out if type(value) is list else tuple(out)
+    if old is None:
+        old = np.empty((size,) + value.shape[1:], value.dtype)
+    old[rows] = value
+    return old
+
+
 class AgentEnv:
-    """Per-agent storage; reads are logged for the privacy audit."""
+    """One agent: its own store and its row of its group's fields; reads
+    are logged for the privacy audit."""
 
     def __init__(self, net: "Network", agent_id: int):
         self.net = net
         self.id = agent_id
-        tree = net.tree
-        self.clique = tree.cliques[agent_id]
-        self.parent = tree.parent[agent_id]
-        self.children = list(tree.children[agent_id])
-        self.depth = tree.depth[agent_id]
+        self.parent = net.tree.parent[agent_id]
+        self.children = list(net.tree.children[agent_id])
         self._store: dict[str, Any] = {}
+        self._fields: dict[str, Any] = {}
+        self._row = 0
 
     @property
     def degree(self) -> int:
@@ -82,21 +105,54 @@ class AgentEnv:
         self._store[name] = value
 
     def get(self, name: str) -> Any:
+        """A value of the own store, else the own row of a group field."""
         net = self.net
-        if net.events is not None and (net._local or net._active is not None):
+        if net.events is not None and (net._running or net._active is not None):
             net._record_read(self.id, name)
-        return self._store[name]
+        if name in self._store:
+            return self._store[name]
+        return _take(self._fields[name], self._row)
 
     def has(self, name: str) -> bool:
-        return name in self._store
+        return name in self._store or name in self._fields
 
     def count_factorization(self) -> None:
         self.net.factorizations[self.net.phase][self.id] += 1
 
 
-UpHandler = Callable[[AgentEnv, list[Envelope]], Any]
-DownHandler = Callable[[AgentEnv, Envelope | None], dict[int, Any] | None]
-LocalKernel = Callable[[Any, list[AgentEnv]], None]
+class Members:
+    """Agents of one group and their ``rows`` of its fields: a pass unit
+    (``spec`` the group's description of it) or the whole group."""
+
+    def __init__(self, net: "Network", group: Any, fields: dict, rows: slice, spec: Any = None):
+        self.net, self.group, self.spec, self._fields = net, group, spec, fields
+        self.ids = group.members[rows]
+        self.envs = [net.agents[i] for i in self.ids]
+        self.kids = [env.children for env in self.envs]
+        # members that are the whole group read and write whole fields
+        self._rows = None if len(self.ids) == len(group.members) else rows
+
+    def get(self, name: str) -> Any:
+        """The members' rows of field ``name``, each logged as its owner's read."""
+        net = self.net
+        if net.events is not None and (net._running or net._active is not None):
+            for i in self.ids:
+                net._record_read(i, name)
+        value = self._fields[name]
+        return value if self._rows is None else _take(value, self._rows)
+
+    def put(self, name: str, value: Any) -> None:
+        """Write the members' rows of field ``name``."""
+        if self._rows is None:
+            self._fields[name] = value
+        else:
+            size = len(self.group.members)
+            self._fields[name] = _put(self._fields.get(name), self._rows, size, value)
+
+
+UpHandler = Callable[[Members, list[list[Envelope]]], Sequence[Any]]
+DownHandler = Callable[[Members, list[Envelope | None]], Sequence[Sequence[Any]]]
+LocalKernel = Callable[[Members], None]
 
 
 class Network:
@@ -108,6 +164,8 @@ class Network:
         self.tree = tree
         self.height = tree.height or 0
         self.levels = tree.levels()
+        # each level's children, in the order a downward pass sends to them
+        self._below = [[c for i in level for c in tree.children[i]] for level in self.levels]
         self.agents = {i: AgentEnv(self, i) for i in range(tree.q)}
         self.phase = "setup"
         self.mp_steps: dict[str, int] = defaultdict(int)
@@ -121,13 +179,37 @@ class Network:
         )
         self.events: list[dict] | None = [] if record_log else None
         self._active: int | None = None
-        self._local = False
+        self._running = False
         self._pass_counter = 0
+        # each agent its own group until the caller sets groups
+        depth = tree.depth
+        self.set_groups(
+            SimpleNamespace(members=[i], units=[(depth[i], slice(0, 1))]) for i in range(tree.q)
+        )
+
+    def set_groups(self, groups: Iterable) -> None:
+        """Store agents by group, each with ``members`` and ``units``
+        ``(depth, rows, ...)``: its members' rows on one tree level."""
+        self.groups: list[Members] = []
+        self.units: list[list[Members]] = [[] for _ in self.levels]
+        for group in groups:
+            fields: dict[str, Any] = {}
+            self.groups.append(Members(self, group, fields, slice(None)))
+            for row, i in enumerate(group.members):
+                self.agents[i]._fields, self.agents[i]._row = fields, row
+            for spec in group.units:
+                self.units[spec[0]].append(Members(self, group, fields, spec[1], spec))
 
     # ---- phases and counters ----
 
     def begin_phase(self, name: str) -> None:
         self.phase = name
+
+    def _start_pass(self, kind: str) -> None:
+        if kind not in ENVELOPE_KINDS:
+            raise TopologyError(f"unknown envelope kind {kind!r}")
+        self._pass_counter += 1
+        self._running = True
 
     def _finish_pass(self) -> None:
         self.mp_steps[self.phase] += self.height
@@ -139,17 +221,20 @@ class Network:
                 "type": "read",
                 "phase": self.phase,
                 "pass": self._pass_counter,
-                "agent": owner if self._local else self._active,
+                "agent": owner if self._active is None else self._active,
                 "owner": owner,
                 "field": name,
             }
         )
 
-    def _record_delivery(self, env: Envelope, level: int) -> None:
-        self.sent[self.phase][env.src] += 1
-        self.received[self.phase][env.dst] += 1
+    def _deliver(self, envelopes: list[Envelope], level: int) -> None:
+        """Count and log one level's envelopes, in order."""
+        sent, received = self.sent[self.phase], self.received[self.phase]
+        for env in envelopes:
+            sent[env.src] += 1
+            received[env.dst] += 1
         if self.events is not None:
-            self.events.append(
+            self.events.extend(
                 {
                     "type": "deliver",
                     "phase": self.phase,
@@ -160,9 +245,11 @@ class Network:
                     "kind": env.kind,
                     "payload": _summarize(env.payload),
                 }
+                for env in envelopes
             )
 
     def _activate(self, agent_id: int, fn: Callable, *args) -> Any:
+        """``fn(agent, *args)`` with every read logged as ``agent_id``'s."""
         self._active = agent_id
         try:
             return fn(self.agents[agent_id], *args)
@@ -171,66 +258,61 @@ class Network:
 
     # ---- local steps and passes ----
 
-    def run_local(self, groups: Iterable, kernel: LocalKernel) -> None:
-        """``kernel(group, envs)`` once per group, ``envs`` those of
-        ``group.members``; nothing is sent and no round counted.  A kernel
-        computes each member's result from that member's data alone, so
-        its reads are logged as their owners'."""
-        self._local = True
+    def run_local(self, kernel: LocalKernel) -> None:
+        """``kernel(group)`` once per group; nothing is sent and no round counted."""
+        self._running = True
         try:
-            for group in groups:
-                kernel(group, list(map(self.agents.__getitem__, group.members)))
+            for group in self.groups:
+                kernel(group)
         finally:
-            self._local = False
+            self._running = False
 
     def run_up(self, kind: str, handler: UpHandler) -> Any:
         """Leaves to root; every non-root agent sends one envelope up.
-
-        Returns the root handler's return value.
-        """
-        if kind not in ENVELOPE_KINDS:
-            raise TopologyError(f"unknown envelope kind {kind!r}")
-        self._pass_counter += 1
+        ``handler(unit, inboxes)`` gets each member's envelopes in child
+        order and returns each member's payload.  Returns the root's."""
+        self._start_pass(kind)
         pending: dict[int, Envelope] = {}
-        result = None
-        for level in range(len(self.levels) - 1, -1, -1):
-            for i in self.levels[level]:
-                inbox = [pending.pop(c) for c in self.tree.children[i]]
-                out = self._activate(i, handler, inbox)
-                parent = self.tree.parent[i]
-                if parent is None:
-                    result = out
-                else:
-                    if out is None:
-                        raise TopologyError(
-                            f"agent {i} produced no payload on an upward pass"
-                        )
-                    env = Envelope(i, parent, kind, out)
-                    pending[i] = env
-                    self._record_delivery(env, level)
+        try:
+            for level in range(len(self.levels) - 1, 0, -1):
+                for unit in self.units[level]:
+                    payloads = handler(unit, [[pending.pop(c) for c in kids] for kids in unit.kids])
+                    for env, payload in zip(unit.envs, payloads, strict=True):
+                        if payload is None:
+                            raise TopologyError(
+                                f"agent {env.id} produced no payload on an upward pass"
+                            )
+                        pending[env.id] = Envelope(env.id, env.parent, kind, payload)
+                self._deliver([pending[i] for i in self.levels[level]], level)
+            (root,) = self.units[0]
+            result = handler(root, [[pending.pop(c) for c in kids] for kids in root.kids])[0]
+        finally:
+            self._running = False
         self._finish_pass()
         return result
 
     def run_down(self, kind: str, handler: DownHandler) -> None:
-        """Root to leaves; every agent sends one envelope to each child."""
-        if kind not in ENVELOPE_KINDS:
-            raise TopologyError(f"unknown envelope kind {kind!r}")
-        self._pass_counter += 1
+        """Root to leaves; every agent sends one envelope to each child.
+        ``handler(unit, envelopes)`` gets each member's envelope (``None``
+        at the root) and returns, per child position, each member's payload
+        for its child there."""
+        self._start_pass(kind)
         pending: dict[int, Envelope] = {}
-        for level in range(len(self.levels)):
-            for i in self.levels[level]:
-                inbox = pending.pop(i, None)
-                out = self._activate(i, handler, inbox) or {}
-                children = self.tree.children[i]
-                if set(out) != set(children):
-                    raise TopologyError(
-                        f"agent {i} must address exactly its children {children}, "
-                        f"got {sorted(out)}"
-                    )
-                for c in children:
-                    env = Envelope(i, c, kind, out[c])
-                    pending[c] = env
-                    self._record_delivery(env, level)
+        try:
+            for level, units in enumerate(self.units):
+                for unit in units:
+                    slots = handler(unit, [pending.pop(i, None) for i in unit.ids])
+                    for b, (i, kids) in enumerate(zip(unit.ids, unit.kids)):
+                        if len(slots) != len(kids):
+                            raise TopologyError(
+                                f"agent {i} must address exactly its children {kids}, "
+                                f"got {len(slots)} payloads"
+                            )
+                        for c, slot in zip(kids, slots):
+                            pending[c] = Envelope(i, c, kind, slot[b])
+                self._deliver([pending[c] for c in self._below[level]], level)
+        finally:
+            self._running = False
         self._finish_pass()
 
     # ---- log export ----

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -46,7 +47,7 @@ def _norm(a: np.ndarray) -> float:
 def backward_ok(M: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> bool:
     """Normwise backward-error contract of a solve of ``M sol = rhs``:
     finite, and ``|M sol - rhs| <= SOLVE_BACKWARD_TOL (|M| |sol| + |rhs| + 1)``."""
-    if not np.isfinite(sol).all():
+    if not np.logical_and.reduce(np.isfinite(sol), axis=None):
         return False
     scale = _norm(M) * _norm(sol) + _norm(rhs) + 1.0
     return _norm(M @ sol - rhs) <= SOLVE_BACKWARD_TOL * scale
@@ -102,13 +103,12 @@ class QuadraticMessage:
 
 @dataclass
 class EliminationRecord:
-    """Back-substitution data kept by one clique after its elimination."""
+    """Back-substitution data kept by one clique after its elimination:
+    ``sol = [H1 h1; H2 h2]`` solves the pivot block ``O`` for the separator
+    columns and the constant column."""
 
     lay: CliqueLayout
-    H1: np.ndarray
-    H2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
+    sol: np.ndarray
     O: np.ndarray
     message: QuadraticMessage
     factor: tuple[np.ndarray, np.ndarray] | np.ndarray | None
@@ -116,13 +116,21 @@ class EliminationRecord:
     pseudo-inverse when symmetric pivoting failed the backward-error check;
     ``None`` for an empty block."""
 
-    @property
-    def sep(self) -> IndexSet:
-        return self.lay.sep
+    sep = property(lambda self: self.lay.sep)
+    elim = property(lambda self: self.lay.elim)
+    H1 = property(lambda self: self.sol[: len(self.lay.zpos), :-1])
+    H2 = property(lambda self: self.sol[len(self.lay.zpos) :, :-1])
+    h1 = property(lambda self: self.sol[: len(self.lay.zpos), -1])
+    h2 = property(lambda self: self.sol[len(self.lay.zpos) :, -1])
 
-    @property
-    def elim(self) -> IndexSet:
-        return self.lay.elim
+
+def stack_solutions(sols: Sequence[np.ndarray]) -> np.ndarray:
+    """Pivot-block solutions of one shape, transposed, on a leading axis (a
+    lone one viewed): ``.swapaxes(1, 2)`` views each as the solve left it
+    (column-major), so in a batched product each makes its lone BLAS call."""
+    if len(sols) == 1:
+        return np.ascontiguousarray(sols[0].T)[None]
+    return np.array([s.T for s in sols])
 
 
 def _factor_solve(
@@ -163,16 +171,17 @@ def eliminate(
     if child_msgs:  # the children's terms are added in place
         H = H.copy()
         r = r.copy()
+        flat = H.ravel()
     for child, msg in child_msgs:
-        H[lay.child_ix[child]] += msg.Q
+        flat[lay.child_ix[child]] += msg.Q
         r[lay.child_pos[child]] += msg.q
         c += msg.c
 
     Ay, O, rhs = data.eq or equality_parts(lay, data.A)
     nz, ny = len(lay.zpos), len(lay.ypos)
-    Qzz = H[lay.zz]
-    Qzy = H[lay.zy]
-    Qyy = H[lay.yy]
+    Qzz = H.take(lay.zz)
+    Qzy = H.take(lay.zy)
+    Qyy = H.take(lay.yy)
     qz = r[lay.zpos]
     qy = r[lay.ypos]
 
@@ -219,7 +228,6 @@ def eliminate(
     H1 = sol[:nz, :ny]
     H2 = sol[nz:, :ny]
     h1 = sol[:nz, ny]
-    h2 = sol[nz:, ny]
 
     # Schur complement of the pivot block: with Qzz H1 + Az' H2 = -Qzy,
     # Az H1 = -Ay and Az h1 = beta, the value of the parametric minimum
@@ -231,34 +239,35 @@ def eliminate(
     ct = c + 0.5 * h1 @ Qzz @ h1 + qz @ h1
 
     msg = QuadraticMessage(lay.sep, Qt, qt, float(ct))
-    return msg, EliminationRecord(lay, H1, H2, h1, h2, O, msg, factor)
+    return msg, EliminationRecord(lay, sol, O, msg, factor)
 
 
 def eliminate_rhs(
-    rec: EliminationRecord,
-    r: np.ndarray,
-    child_msgs: list[tuple[int, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eliminate one clique again for a new linear term, reusing its factors.
-
-    ``r`` is the clique's new linear term, with the equality right-hand
-    side zero; a second axis carries several right-hand sides at once.
-    ``child_msgs`` holds ``(child, q)`` pairs, ``q`` as returned here.  The
-    quadratic part of every message is unchanged, so only the linear term
-    ``q`` of the parent message is returned, together with the offsets
-    ``(h1, h2)`` that :func:`recover_clique` takes.  Nothing is factorized.
-    """
-    lay = rec.lay
-    # copied only when the children's terms are added in place
-    r = np.array(r, dtype=float, copy=True if child_msgs else None)
-    for child, q in child_msgs:
-        r[lay.child_pos[child]] += q
-    qz = r[lay.zpos]
-    rhs = np.concatenate([-qz, np.zeros((rec.H2.shape[0],) + r.shape[1:])])
-    sol = _factor_solve(rec.factor, rhs) if rhs.size else rhs
-    nz = len(lay.zpos)
-    # the message's linear term qy + H1'qz - H2'beta with beta = 0
-    return r[lay.ypos] + rec.H1.T @ qz, sol[:nz], sol[nz:]
+    zpos: np.ndarray, ypos: np.ndarray, factors: Sequence, solT: np.ndarray, r: np.ndarray,
+    child_q: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate cliques of equal ``zpos`` and ``ypos`` again for new linear
+    terms ``r`` (one column per right-hand side, zero equality right-hand
+    sides), solving with their ``factors``; ``solT`` is their records'
+    :func:`stack_solutions`, ``child_q`` holds ``(positions, q)`` per child
+    in child order.  Returns the parent messages' linear terms ``q`` (the
+    quadratic parts are unchanged) and the solves' :func:`stack_solutions`,
+    whose rows ``[:nz]`` and ``[nz:]`` are the ``(h1, h2)`` offsets of
+    :func:`recover_clique`.  Nothing is factorized."""
+    if child_q:  # the children's terms are added to a copy
+        r = r.copy()
+    for pos, q in child_q:
+        r[:, pos] += q
+    nz = len(zpos)
+    qz = r.take(zpos, axis=1)  # C-ordered, as a lone clique's
+    rhs = np.zeros((len(r), solT.shape[2], r.shape[2]))
+    np.negative(qz, out=rhs[:, :nz])
+    if rhs[0].size:
+        rhs = stack_solutions([_factor_solve(f, b) for f, b in zip(factors, rhs)])
+    else:
+        rhs = rhs.swapaxes(1, 2)
+    # the messages' linear terms qy + H1'qz - H2'beta with beta = 0
+    return r[:, ypos] + solT[:, :-1, :nz] @ qz, rhs
 
 
 def upward_pass(
@@ -284,23 +293,21 @@ def upward_pass(
 
 
 def recover_clique(
-    rec: EliminationRecord,
-    y: np.ndarray,
+    zpos: np.ndarray, ypos: np.ndarray, solT: np.ndarray, y: np.ndarray,
     offsets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Back-substitute one clique given its separator values ``y``.
-
-    ``offsets`` are the ``(h1, h2)`` of :func:`eliminate_rhs` for a
-    right-hand side other than the one :func:`eliminate` was given; with
-    several right-hand sides, ``y`` has one column per right-hand side.
-    """
-    h1, h2 = (rec.h1, rec.h2) if offsets is None else offsets
-    dz = rec.H1 @ y + h1
-    dv = rec.H2 @ y + h2
-    dx = np.zeros((len(rec.lay.clique),) + dz.shape[1:])
-    dx[rec.lay.zpos] = dz
-    dx[rec.lay.ypos] = y
-    return dx, dv
+    """Back-substitute cliques, as in :func:`eliminate_rhs`, given their
+    separator values ``y``; ``offsets``, if given, are one column of the
+    ``(h1, h2)`` of :func:`eliminate_rhs`."""
+    nz = len(zpos)
+    sol = solT.swapaxes(1, 2)
+    h1, h2 = (sol[:, :nz, -1], sol[:, nz:, -1]) if offsets is None else offsets
+    dz = np.matvec(sol[:, :nz, :-1], y)
+    dv = np.matvec(sol[:, nz:, :-1], y)
+    dx = np.empty((len(y), nz + len(ypos)))
+    dx[:, zpos] = dz + h1
+    dx[:, ypos] = y
+    return dx, dv + h2
 
 
 def downward_pass(
@@ -319,7 +326,9 @@ def downward_pass(
             y = np.zeros(0)
         else:
             y = out[par][0][records[par].lay.child_pos[i]]
-        out[i] = recover_clique(records[i], y)
+        lay = records[i].lay
+        dx, dv = recover_clique(lay.zpos, lay.ypos, stack_solutions([records[i].sol]), y[None])
+        out[i] = dx[0], dv[0]
     return out
 
 

@@ -141,11 +141,12 @@ def interior_duals(
 def agent_directions(res):
     """Affine and corrected directions the agents took in a solve's last iteration.
 
-    Read from each agent's store as ``(dx, dv, dlam)`` with ``dx`` and
+    Read from each agent's rows as ``(dx, dv, dlam)`` with ``dx`` and
     ``dv`` per clique and ``dlam`` per subproblem; agents keep no affine
     multiplier direction, so the affine ``dlam`` is empty.
     """
     envs = res.network.agents.values()
+    phi = res.setup.assignment.phi
     aff = (
         {env.id: env.get("aff")[0] for env in envs},
         {env.id: env.get("aff")[1] for env in envs},
@@ -154,7 +155,7 @@ def agent_directions(res):
     corr = (
         {env.id: env.get("dx") for env in envs},
         {env.id: env.get("dv") for env in envs},
-        {k: d for env in envs for k, d in env.get("dlam").items()},
+        {k: d for env in envs for k, d in zip(phi[env.id], env.get("dlam"))},
     )
     return aff, corr
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import copy
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treeipm import chordal, ipm, model, netsim, oracle, treeqp
 from treeipm.errors import (
@@ -18,7 +17,13 @@ from treeipm.errors import (
     ProblemFormatError,
 )
 
-from conftest import agent_directions, direction_gap, interior_duals, random_loose_qp
+from conftest import (
+    agent_directions,
+    direction_gap,
+    interior_duals,
+    make_rooted_tree,
+    random_loose_qp,
+)
 
 
 # ---------------- parameters and trace plumbing ----------------
@@ -77,7 +82,7 @@ def test_initial_state_shapes(rng):
     for i, env in setup.network.agents.items():
         assert env.get("x").shape == (len(setup.tree.cliques[i]),)
         assert env.get("v").shape == (setup.locals[i].eq_A.shape[0],)
-        lam.update(env.get("lam"))
+        lam.update(zip(setup.assignment.phi[i], env.get("lam")))
     assert sorted(lam) == list(range(len(p.subproblems)))
     for k, sp in enumerate(p.subproblems):
         assert np.all(lam[k] == 1.0)
@@ -420,16 +425,12 @@ def test_iteration_does_no_layout_work(rng, monkeypatch):
     assert not hasattr(model.Constraint, "hess")
 
 
-# ---------------- local kernels ----------------
-
-# each kernel with the agent-store entries it writes
-KERNELS = (
-    (ipm._start_kernel, ("own", "at")),
-    (ipm._qp_kernel, ("qp",)),
-    (ipm._corrector_kernel, ("pred",)),
-    (ipm._step_kernel, ("dlam", "bound")),
-    (ipm._candidate_kernel, ("own", "cand")),
-)
+# ---------------- local steps and pass units ----------------
+#
+# One more iteration is replayed from a solve's last state, and every
+# local-step kernel and pass handler is checked: its output for a whole
+# group or pass unit must be bitwise its output for each member alone, so
+# nothing is reduced across members.
 
 
 def bitwise_same(a, b) -> bool:
@@ -437,49 +438,93 @@ def bitwise_same(a, b) -> bool:
         return list(a) == list(b) and all(bitwise_same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(bitwise_same(u, w) for u, w in zip(a, b))
+    if isinstance(a, treeqp.QuadraticMessage):
+        return a.sep == b.sep and bitwise_same((a.Q, a.q, a.c), (b.Q, b.q, b.c))
     return np.shape(a) == np.shape(b) and np.array_equal(a, b)
 
 
-def written(env, keys):
-    out = []
-    for key in keys:
-        value = env._store[key]
-        if key == "qp":
-            value = (value.H, value.r, value.beta)
-        out.append(copy.deepcopy(value))
-    return out
+def rows(fields: dict, at) -> dict:
+    """Copies of rows ``at`` of every group field."""
+    return copy.deepcopy({k: netsim._take(v, at) for k, v in fields.items()})
 
 
-def assert_rows_alone(group, envs, blocks):
-    """Each kernel's output for ``group`` is bitwise its output for every
-    member run as a group of one: no kernel reduces across members."""
-    for kernel, keys in KERNELS:
-        kernel(group, envs)
-        together = [written(e, keys) for e in envs]
-        for env, block, want in zip(envs, blocks, together):
-            kernel(model.shape_groups([block])[0], [env])
-            assert bitwise_same(written(env, keys), want), (kernel.__name__, block[0])
+def probe_kernel(setup, kernel):
+    """``kernel``, checked against each member run as a group of one."""
+    blocks = {i: (i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in setup.locals.items()}
+
+    def run(group):
+        before = copy.deepcopy(group._fields)
+        kernel(group)
+        for b, i in enumerate(group.ids):
+            alone = rows(before, slice(b, b + 1))
+            (solo,) = model.shape_groups([blocks[i]])
+            kernel(netsim.Members(group.net, solo, alone, slice(None)))
+            assert bitwise_same(alone, rows(group._fields, slice(b, b + 1))), (kernel, i)
+
+    return run
 
 
-def blocks_of(setup):
-    return {i: (i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in setup.locals.items()}
+def probe_handler(handler, down=False):
+    """``handler``, checked against each member run as a unit of one."""
+
+    def run(unit, inboxes):
+        fields = unit._fields
+        before = copy.deepcopy(fields)
+        out = handler(unit, inboxes)
+        after = copy.deepcopy(fields)
+        for b, i in enumerate(unit.ids):
+            row = unit.spec.rows.start + b
+            fields.clear()
+            fields.update(copy.deepcopy(before))
+            spec = unit.spec._replace(rows=slice(row, row + 1))
+            alone = handler(netsim.Members(unit.net, unit.group, fields, spec.rows, spec), inboxes[b : b + 1])
+            got = [slot[b] for slot in out] if down else out[b]
+            want = [slot[0] for slot in alone] if down else alone[0]
+            assert bitwise_same(got, want), (handler, i)
+            assert bitwise_same(rows(fields, row), rows(after, row)), (handler, i)
+        fields.clear()
+        fields.update(after)
+        return out
+
+    return run
 
 
-def assert_groups_work_row_by_row(res):
-    blocks = blocks_of(res.setup)
-    for group in res.setup.groups:
-        envs = [res.network.agents[i] for i in group.members]
-        assert_rows_alone(group, envs, [blocks[i] for i in group.members])
+def replay_probed(res) -> int:
+    """One more iteration from the last state of ``res``, probed; returns
+    the largest pass unit."""
+    net = res.network
+    root = net.agents[res.setup.tree.root]
+    watched = "watch" in net.groups[0]._fields
+
+    def local(kernel):
+        net.run_local(probe_kernel(res.setup, kernel))
+
+    local(ipm._start_kernel)
+    local(ipm._qp_kernel)
+    net.run_up("qp-message", probe_handler(ipm._dir_up))
+    net.run_down("separator-solution", probe_handler(ipm._dir_down, down=True))
+    local(ipm._corrector_kernel)
+    net.run_up("corrector-message", probe_handler(ipm._corr_up))
+    root.put("t", res.trace.rows[-1].t)
+    net.run_down("corrector-solution", probe_handler(ipm._corr_down, down=True))
+    local(ipm._step_kernel)
+    alpha = net.run_up("alpha-bound", probe_handler(functools.partial(ipm._bound_up, 0.99)))
+    root.put("alpha", alpha)
+    net.run_down("alpha-broadcast", probe_handler(ipm._alpha_down, down=True))
+    local(ipm._candidate_kernel)
+    net.run_up("residual-partial", probe_handler(functools.partial(ipm._residual_up, watched)))
+    root.put("stop", False)
+    net.run_down("stop-broadcast", probe_handler(ipm._accept_down, down=True))
+    return max(len(unit.ids) for level in net.units for unit in level)
 
 
-def test_flow_tree_kernels_work_row_by_row():
+def test_flow_tree_units_give_each_member_what_it_gets_alone():
     p, x0 = model.gen_flow(model.balanced_tree(4, 2), seed=0)
     res = ipm.solve(p, ONE, x0, record_log=False)
-    assert max(len(g.members) for g in res.setup.groups) > 1
-    assert_groups_work_row_by_row(res)
+    assert replay_probed(res) > 1
 
 
-def test_phase_one_kernels_work_row_by_row(monkeypatch):
+def test_phase_one_units_give_each_member_what_it_gets_alone(monkeypatch):
     # the auxiliary problem adds a slack row and a slack bound per
     # inequality; stop its solve after one iteration and check that state
     p, _ = model.gen_flow(model.balanced_tree(3, 2), seed=1)
@@ -496,13 +541,13 @@ def test_phase_one_kernels_work_row_by_row(monkeypatch):
     except (NotStrictlyFeasibleError, InfeasibleProblemError):
         pass
     (res,) = runs
-    assert max(len(g.members) for g in res.setup.groups) > 1
-    assert_groups_work_row_by_row(res)
+    assert replay_probed(res) > 1
 
 
-def rescaled(p: model.CoupledProblem) -> model.CoupledProblem:
-    """``p`` with other numbers and the same shapes: the objective halved,
-    each inequality tripled, each equality row doubled."""
+def rescaled(p: model.CoupledProblem, shift: int = 0) -> list[model.Subproblem]:
+    """The subproblems of ``p`` with other numbers and the same shapes, their
+    scopes shifted by ``shift``: the objective halved, each inequality
+    tripled, each equality row doubled."""
     subs = []
     for sp in p.subproblems:
         cons = [
@@ -510,23 +555,42 @@ def rescaled(p: model.CoupledProblem) -> model.CoupledProblem:
             for c in sp.inequalities
         ]
         obj = model.QuadraticForm(0.5 * sp.objective.P, 0.5 * sp.objective.q)
-        subs.append(model.Subproblem(sp.J, obj, cons, 2.0 * sp.eq_A, 2.0 * sp.eq_b))
-    return model.CoupledProblem(p.n, subs)
+        J = tuple(v + shift for v in sp.J)
+        subs.append(model.Subproblem(J, obj, cons, 2.0 * sp.eq_A, 2.0 * sp.eq_b))
+    return subs
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_loose_qp_kernels_work_row_by_row(seed):
-    # random loose QPs rarely repeat a clique shape, so each clique is
-    # grouped with its twin in a rescaled copy of the problem
-    rng = np.random.default_rng(seed)
-    p, x0 = random_loose_qp(rng, eq_redundancy=1, eq_at_interior=True)
-    runs = [ipm.solve(q, ONE, x0, record_log=False) for q in (p, rescaled(p))]
-    blocks = [blocks_of(r.setup) for r in runs]
-    for i in range(runs[0].setup.tree.q):
-        pair = [b[i] for b in blocks]
-        (group,) = model.shape_groups(pair)
-        assert_rows_alone(group, [r.network.agents[i] for r in runs], pair)
+def twins(p: model.CoupledProblem, x0: np.ndarray):
+    """``p`` and its :func:`rescaled` copy under one extra root clique: each
+    clique and its twin sit on one level with one shape and one children's
+    layout, so they share a pass unit.  Returns problem, start and tree."""
+    n, tree = p.n, ipm.prepare(p).tree
+    root = model.Subproblem(
+        (2 * n,),
+        model.QuadraticForm(np.eye(1), np.zeros(1)),
+        [model.Constraint("affine", np.ones(1), -1.0)],
+    )
+    subs = list(p.subproblems) + rescaled(p, n) + [root]
+    cliques, parents = [(2 * n,)], [-1]
+    for shift, offset in ((0, 1), (n, 1 + tree.q)):
+        cliques += [tuple(v + shift for v in c) for c in tree.cliques]
+        parents += [0 if a is None else a + offset for a in map(tree.parent.get, range(tree.q))]
+    both = model.CoupledProblem(2 * n + 1, subs)
+    return both, np.r_[x0, x0, 0.0], make_rooted_tree(cliques, parents)
+
+
+def test_loose_qp_units_give_each_member_what_it_gets_alone():
+    # random loose QPs rarely repeat a clique shape, so each clique runs
+    # next to its twin; these seeds bring quadratic rows, a redundant
+    # equality row and a clique that hosts no subproblem
+    for seed in (0, 6, 13):
+        rng = np.random.default_rng(seed)
+        p, x0 = random_loose_qp(rng, eq_redundancy=1, eq_at_interior=True)
+        assert any(c.kind == "quadratic" for sp in p.subproblems for c in sp.inequalities)
+        both, start, tree = twins(p, x0)
+        res = ipm.solve(both, ONE, start, tree=tree, record_log=False)
+        assert not all(res.setup.assignment.phi.values())
+        assert replay_probed(res) == 2
 
 
 def test_batched_reads_are_each_agents_own():

@@ -40,9 +40,12 @@ def test_run_up_aggregates_and_orders_inbox():
 
     seen = {}
 
-    def up(env, inbox):
-        seen[env.id] = [e.src for e in inbox]
-        return env.get("val") + sum(e.payload for e in inbox)
+    def up(unit, inboxes):
+        out = []
+        for env, inbox in zip(unit.envs, inboxes):
+            seen[env.id] = [e.src for e in inbox]
+            out.append(env.get("val") + sum(e.payload for e in inbox))
+        return out
 
     total = net.run_up("qp-message", up)
     assert total == sum(i + 1 for i in net.agents)
@@ -53,8 +56,8 @@ def test_run_up_aggregates_and_orders_inbox():
 def test_run_up_requires_payloads():
     net = netsim.Network(chain_tree(3))
 
-    def up(env, inbox):
-        return None if env.id == 2 else 1.0
+    def up(unit, inboxes):
+        return [None if i == 2 else 1.0 for i in unit.ids]
 
     with pytest.raises(TopologyError, match="agent 2 produced no payload"):
         net.run_up("qp-message", up)
@@ -63,7 +66,7 @@ def test_run_up_requires_payloads():
 def test_run_up_rejects_unknown_kind():
     net = netsim.Network(chain_tree(2))
     with pytest.raises(TopologyError, match="unknown envelope kind"):
-        net.run_up("gossip", lambda env, inbox: 1.0)
+        net.run_up("gossip", lambda unit, inboxes: [1.0] * len(unit.ids))
 
 
 def test_run_down_broadcast_and_addressing():
@@ -72,16 +75,17 @@ def test_run_down_broadcast_and_addressing():
     net.agents[tree.root].put("word", "go")
     got = {}
 
-    def down(env, envelope):
+    def down(unit, envelopes):
+        (env,), (envelope,) = unit.envs, envelopes
         w = envelope.payload if envelope is not None else env.get("word")
         got[env.id] = w
-        return {c: w for c in env.children}
+        return [[w] for _ in env.children]
 
     net.run_down("stop-broadcast", down)
     assert got == {i: "go" for i in net.agents}
 
-    def bad(env, envelope):
-        return {}  # hub fails to address its children
+    def bad(unit, envelopes):
+        return []  # hub fails to address its children
 
     with pytest.raises(TopologyError, match="must address exactly its children"):
         net.run_down("stop-broadcast", bad)
@@ -96,8 +100,8 @@ def test_network_requires_rooted_tree():
 def test_mp_steps_count_levels_per_pass():
     net = netsim.Network(chain_tree(4))  # edge-height 3
     net.begin_phase("solve")
-    net.run_up("qp-message", lambda env, inbox: 0.0)
-    net.run_down("stop-broadcast", lambda env, e: {c: 0 for c in env.children})
+    net.run_up("qp-message", lambda unit, inboxes: [0.0] * len(unit.ids))
+    net.run_down("stop-broadcast", lambda unit, envs: [[0]] * len(unit.envs[0].children))
     assert net.mp_steps["solve"] == 2 * 3
     assert net.half_passes["solve"] == 2
     assert net.mp_steps.get("setup", 0) == 0
@@ -111,7 +115,10 @@ def test_run_log_export(tmp_path):
     net = netsim.Network(tree)
     for i in net.agents:
         net.agents[i].put("val", float(i))
-    net.run_up("residual-partial", lambda env, inbox: env.get("val") + sum(e.payload for e in inbox))
+    def up(unit, inboxes):
+        return [e.get("val") + sum(m.payload for m in inbox) for e, inbox in zip(unit.envs, inboxes)]
+
+    net.run_up("residual-partial", up)
     path = tmp_path / "log.jsonl"
     net.to_jsonl(path)
     events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -180,20 +187,24 @@ def test_privacy_audit_flags_cross_agent_read():
 def test_local_step_sends_nothing_and_logs_owner_reads():
     tree = star_tree(3)
     net = netsim.Network(tree)
-    for i in net.agents:
-        net.agents[i].put("val", float(i))
-    net.run_up("qp-message", lambda env, inbox: 0.0)
+    net.set_groups(
+        [
+            SimpleNamespace(members=[1, 3], units=[(1, slice(0, 2))]),
+            SimpleNamespace(members=[0, 2], units=[(0, slice(0, 1)), (1, slice(1, 2))]),
+        ]
+    )
+    for group in net.groups:
+        group.put("val", np.array(group.ids, dtype=float))
+    net.run_up("qp-message", lambda unit, inboxes: [0.0] * len(unit.ids))
     before = (dict(net.mp_steps), dict(net.half_passes), net._pass_counter)
     n_events = len(net.events)
-    groups = [SimpleNamespace(members=[1, 3]), SimpleNamespace(members=[0, 2])]
     calls = []
 
-    def kernel(group, envs):
-        calls.append([e.id for e in envs])
-        for e, v in zip(envs, np.array([e.get("val") for e in envs]) * 2.0):
-            e.put("twice", v)
+    def kernel(group):
+        calls.append(group.ids)
+        group.put("twice", group.get("val") * 2.0)
 
-    net.run_local(groups, kernel)
+    net.run_local(kernel)
     assert calls == [[1, 3], [0, 2]]
     assert [net.agents[i].get("twice") for i in range(4)] == [0.0, 2.0, 4.0, 6.0]
     assert (dict(net.mp_steps), dict(net.half_passes), net._pass_counter) == before
@@ -204,6 +215,63 @@ def test_local_step_sends_nothing_and_logs_owner_reads():
     # outside a pass or a local step nothing is logged
     net.agents[0].get("val")
     assert len(net.events) == n_events + 4
+
+
+def interleaved_tree():
+    """Root 0; children 1-4; grandchildren 5 and 6 under 1, 7 under 2, 8
+    and 9 under 3, 10 under 4."""
+    cliques = [(0, 1, 2, 3)] + [(i, 10 + i) for i in range(4)]
+    cliques += [(10, 20), (10, 21), (11, 22), (12, 23), (12, 24), (13, 25)]
+    return make_rooted_tree(cliques, [-1, 0, 0, 0, 0, 1, 1, 2, 3, 3, 4])
+
+
+def test_pass_units_keep_delivery_order_and_counts():
+    # two groups interleaved by agent id on every level: the handlers run
+    # group by group, the envelopes go out as a one-agent-per-call pass
+    # sends them, and the counters count what was handed over
+    tree = interleaved_tree()
+    net = netsim.Network(tree)
+    net.set_groups(
+        [
+            SimpleNamespace(members=[1, 3, 5, 7, 9], units=[(1, slice(0, 2)), (2, slice(2, 5))]),
+            SimpleNamespace(
+                members=[0, 2, 4, 6, 8, 10],
+                units=[(0, slice(0, 1)), (1, slice(1, 3)), (2, slice(3, 6))],
+            ),
+        ]
+    )
+    net.begin_phase("solve")
+    calls, inboxes_seen = [], {}
+
+    def up(unit, inboxes):
+        calls.append(unit.ids)
+        for i, inbox in zip(unit.ids, inboxes):
+            inboxes_seen[i] = [e.src for e in inbox]
+        return [float(i) for i in unit.ids]
+
+    def down(unit, envelopes):
+        calls.append(unit.ids)
+        return [list(unit.ids)] * len(unit.envs[0].children)
+
+    net.run_up("residual-partial", up)
+    assert calls == [[5, 7, 9], [6, 8, 10], [1, 3], [2, 4], [0]]
+    assert inboxes_seen == {
+        0: [1, 2, 3, 4], 1: [5, 6], 2: [7], 3: [8, 9], 4: [10],
+        **{i: [] for i in range(5, 11)},
+    }
+    net.run_down("alpha-broadcast", down)
+    delivered = [(e["src"], e["dst"]) for e in net.events if e["type"] == "deliver"]
+    up_order = [(i, tree.parent[i]) for i in (5, 6, 7, 8, 9, 10, 1, 2, 3, 4)]
+    down_order = [(0, c) for c in (1, 2, 3, 4)] + [
+        (1, 5), (1, 6), (2, 7), (3, 8), (3, 9), (4, 10)
+    ]
+    assert delivered == up_order + down_order
+    levels = [e["level"] for e in net.events if e["type"] == "deliver"]
+    assert levels == [2] * 6 + [1] * 4 + [0] * 4 + [1] * 6
+    sent = {i: sum(src == i for src, _ in delivered) for i in net.agents}
+    received = {i: sum(dst == i for _, dst in delivered) for i in net.agents}
+    assert {i: net.sent["solve"].get(i, 0) for i in net.agents} == sent
+    assert {i: net.received["solve"].get(i, 0) for i in net.agents} == received
 
 
 # ---------------- step accounting ----------------

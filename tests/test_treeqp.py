@@ -18,6 +18,36 @@ def layout(cliques, parents, i=1):
     return clique_layout(make_rooted_tree(cliques, parents), i)
 
 
+def stacked(rec):
+    """One record's solution as a stack of one, as the batched sweeps take it."""
+    return treeqp.stack_solutions([rec.sol])
+
+
+def recover_one(rec, y, offsets=None):
+    """:func:`treeqp.recover_clique` for one clique; a second axis of ``y``
+    and the offsets holds several right-hand sides, recovered as copies of
+    the clique side by side."""
+    lay, cols = rec.lay, y.ndim == 2
+    k = y.shape[1] if cols else 1
+    y = y.T if cols else y[None]
+    if offsets is not None:
+        offsets = tuple(o.T if cols else o[None] for o in offsets)
+    solT = np.repeat(stacked(rec), k, axis=0)
+    dx, dv = treeqp.recover_clique(lay.zpos, lay.ypos, solT, y, offsets)
+    return (dx.T, dv.T) if cols else (dx[0], dv[0])
+
+
+def rhs_one(rec, r, kids):
+    """:func:`treeqp.eliminate_rhs` for one clique: ``(q, h1, h2)``."""
+    lay = rec.lay
+    child_q = [(lay.child_pos[c], q[None]) for c, q in kids]
+    q, hT = treeqp.eliminate_rhs(
+        lay.zpos, lay.ypos, [rec.factor], stacked(rec), r[None], child_q
+    )
+    h = hT[0].T
+    return q[0], h[: len(lay.zpos)], h[len(lay.zpos) :]
+
+
 def dense_kkt(tree, data, n):
     """Assemble the stacked KKT system in global coordinates."""
     Q = np.zeros((n, n))
@@ -79,7 +109,7 @@ def test_single_clique_elimination_by_hand():
     for y in (-1.0, 0.0, 2.5):
         assert np.isclose(msg.value(np.array([y])), 0.5 * (1 - y) ** 2)
     # back-substitution satisfies the constraint and stationarity
-    dx, dv = treeqp.recover_clique(rec, np.array([0.3]))
+    dx, dv = recover_one(rec, np.array([0.3]))
     assert np.isclose(dx[0], 0.3)
     assert np.isclose(dx[0] + dx[1], 1.0)
     assert np.isclose(dx[1] + dv[0], 0.0)
@@ -152,7 +182,7 @@ def rhs_sweep(tree, records, r):
     q, offsets = {}, {}
     for i in tree.post_order():
         kids = [(c, q[c]) for c in tree.children[i]]
-        q[i], h1, h2 = treeqp.eliminate_rhs(records[i], r[i], kids)
+        q[i], h1, h2 = rhs_one(records[i], r[i], kids)
         offsets[i] = (h1, h2)
     sols = {}
     for i in reversed(tree.post_order()):
@@ -163,7 +193,7 @@ def rhs_sweep(tree, records, r):
             if par is None
             else sols[par][0][records[par].lay.child_pos[i]]
         )
-        sols[i] = treeqp.recover_clique(rec, y, offsets[i])
+        sols[i] = recover_one(rec, y, offsets[i])
     return q, sols
 
 
@@ -212,8 +242,30 @@ def test_rhs_sweep_reuses_least_squares_fallback():
     )
     _, rec = treeqp.eliminate(layout([(1,), (0, 1)], [-1, 0]), data, [])
     assert not isinstance(rec.factor, tuple)
-    q, h1, h2 = treeqp.eliminate_rhs(rec, np.array([0.0, 2.0]), [])
-    assert np.allclose(q, [2.0]) and np.allclose(h1, 0.0) and h2.size == 0
+    q, h1, h2 = rhs_one(rec, np.array([[0.0], [2.0]]), [])
+    assert np.allclose(q, [[2.0]]) and np.allclose(h1, 0.0) and h2.size == 0
+
+
+def test_stacked_sweeps_give_each_clique_what_it_gets_alone(rng):
+    # the instance above next to one whose pivot is regular: stacked, the
+    # least-squares member and the factorized one each get bitwise what
+    # they get alone, in both the right-hand-side and the recovery sweep
+    lay = layout([(1,), (0, 1)], [-1, 0])
+    recs = []
+    for h in (0.0, 2.0):
+        data = treeqp.CliqueQpData((0, 1), np.diag([h, 1.0]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+        recs.append(treeqp.eliminate(lay, data, [])[1])
+    assert [isinstance(rec.factor, tuple) for rec in recs] == [False, True]
+    factors = [rec.factor for rec in recs]
+    solT = treeqp.stack_solutions([rec.sol for rec in recs])
+    r, y = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 1))
+    q, hT = treeqp.eliminate_rhs(lay.zpos, lay.ypos, factors, solT, r, [])
+    dx, dv = treeqp.recover_clique(lay.zpos, lay.ypos, solT, y)
+    for b, rec in enumerate(recs):
+        q1, hT1 = treeqp.eliminate_rhs(lay.zpos, lay.ypos, [rec.factor], stacked(rec), r[b : b + 1], [])
+        dx1, dv1 = treeqp.recover_clique(lay.zpos, lay.ypos, stacked(rec), y[b : b + 1])
+        for got, alone in ((q, q1), (hT, hT1), (dx, dx1), (dv, dv1)):
+            assert got[b].shape == alone[0].shape and np.array_equal(got[b], alone[0])
 
 
 def test_block_ldl_check_near_zero(rng):

@@ -10,10 +10,14 @@ Each line is ``<label> <sha256>``.  A digest covers the trace CSV, ``x``,
 are left out).  For ``solve_auto`` runs it also covers each component's
 phase-one report.  The solves are:
 
-- ``flow/<s>``: the seven-agent two-chain supply instance of seeds 0-9;
-- ``h8/0``: the 511-agent balanced binary supply tree (criterion 6);
+- ``flow/<s>``: the seven-agent two-chain supply instance of seeds 0-49
+  (the instances of bench ``flow-suite`` seed 0);
+- ``h8/0``: the 511-agent balanced binary supply tree (criterion 6), and
+  ``h8/1``: the bench ``flow-h8`` instance of seed 1, its coefficients
+  jittered;
 - ``loose/<s>/<c>``: component ``c`` of ``ipm.solve_auto`` on
-  ``bench/loose_qp.py`` seed ``s``, seeds 0-47.
+  ``bench/loose_qp.py`` seed ``s``, seeds 0-47 and the two instances
+  that end ``max_iters``, 390 and 454.
 
 Two checkouts whose solver arithmetic agrees bit for bit print the same
 file, so ``diff`` of two runs is the byte-equality check.
@@ -37,6 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import loose_qp  # noqa: E402
+import workloads  # noqa: E402
 from treeipm import ipm, model  # noqa: E402
 
 TWO_CHAIN = [-1, 0, 0, 1, 2, 3, 4]
@@ -66,7 +71,7 @@ def digest(res: ipm.SolveResult, extra: str = "") -> str:
 
 
 def main() -> int:
-    for s in range(10):
+    for s in range(50):
         p, x0 = model.gen_flow(TWO_CHAIN, seed=s)
         print(f"flow/{s}", digest(ipm.solve(p, x0=x0)), flush=True)
     p, x0 = model.gen_flow(
@@ -74,7 +79,11 @@ def main() -> int:
         params=model.sample_flow_params(511, np.random.default_rng(0)),
     )
     print("h8/0", digest(ipm.solve(p, x0=x0, record_log=False)), flush=True)
-    for s in range(48):
+    h8 = workloads.WORKLOADS["flow-h8"]
+    (inst,) = h8.make(1)
+    res = ipm.solve(inst.problem, h8.params, inst.x0, record_log=False)
+    print("h8/1", digest(res), flush=True)
+    for s in [*range(48), 390, 454]:
         p, _ = loose_qp.generate(s)
         for c, run in enumerate(ipm.solve_auto(p)):
             print(f"loose/{s}/{c}", digest(run.result, repr(run.phase_one)), flush=True)
