@@ -129,8 +129,8 @@ def _load_x0(path: str | None, n: int) -> np.ndarray | None:
         vec = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"x0 file {path}: not numeric ({exc})") from exc
-    if vec.shape != (n,):
-        raise ProblemFormatError(f"x0 file {path}: expected {n} entries")
+    if vec.shape != (n,) or not np.isfinite(vec).all():
+        raise ProblemFormatError(f"x0 file {path}: expected {n} finite entries")
     return vec
 
 
@@ -270,7 +270,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         sub_p = comp.problem
         start, _ = ipm.component_start(comp, None, params)
         dist = ipm.solve(sub_p, params, start, record_log=False)
-        cent = oracle.centralized_ipm(sub_p, params, start)
+        setup = dist.setup
+        cent = oracle.centralized_ipm(sub_p, params, start, setup.tree, setup.assignment)
         iters = min(dist.iterations, cent.iterations)
         alpha_gap = max(
             (
@@ -281,9 +282,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         # the free-running gap mostly measures how far the trajectories
         # amplify rounding; steps from the same iterate compare the solvers
-        steps = oracle.same_iterate_steps(
-            sub_p, params, start, dist.iterations, dist.setup.tree
-        )
+        steps = oracle.same_iterate_steps(sub_p, params, start, dist.iterations, setup.tree)
         same_gap = max((abs(a - b) for a, b in steps), default=0.0)
         x_gap = float(np.max(np.abs(dist.x - cent.x))) if dist.x.size else 0.0
         same_iters = dist.iterations == cent.iterations

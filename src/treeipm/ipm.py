@@ -1,7 +1,7 @@
 """Distributed primal-dual interior-point method on a clique tree.
 
-Each iteration takes a Mehrotra predictor-corrector step, run as a fixed
-schedule of synchronous passes:
+Each iteration, one :func:`step`, takes a Mehrotra predictor-corrector
+step, run as a fixed schedule of synchronous passes:
 
 1. upward (``qp-message``): per-clique barrier KKT pieces are eliminated
    into quadratic messages for the affine right-hand side (one
@@ -36,7 +36,7 @@ same order, as each would alone.
 The decrease test compares a candidate's residuals with those of the
 current iterate.  The root keeps them from the pass that accepted the
 iterate; for the start point one ``residual-partial`` pass runs in the
-set-up phase, so every point is evaluated once.
+set-up phase (:func:`start`), so every point is evaluated once.
 
 Aggregation sums run in child-index order.  Residual norms are those of
 the globally scattered residual vectors: scalar partial sums plus
@@ -115,6 +115,11 @@ class TraceRow:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
+
+    def converged(self, params: SolverParams) -> bool:
+        """Whether the accepted point meets the stopping tolerances."""
+        feasible = self.r_primal_norm <= params.eps_feas and self.r_dual_norm <= params.eps_feas
+        return feasible and self.eta_hat <= params.eps
 
 
 # the trace CSV calls the iteration column "iter"
@@ -196,7 +201,7 @@ def prepare(
     ``qp``, with equality parts built here, and the cliques are grouped by
     :func:`model.shape_groups` for the local kernels.
     """
-    p.validate()
+    p.ensure_valid()
     if tree is None:
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     net = netsim.Network(tree, record_log=record_log)
@@ -251,42 +256,60 @@ def prepare(
 def start_vector(
     given: Mapping[int, np.ndarray] | None, key: int, size: int, name: str
 ) -> np.ndarray:
-    """``given[key]`` checked to have ``size`` entries; all ones if none given."""
+    """``given[key]`` checked to have ``size`` finite entries; all ones if none given."""
     if given is None:
         return np.ones(size)
     if key not in given:
         raise ProblemFormatError(f"{name} has no entry for {key}")
     vec = np.asarray(given[key], dtype=float)
-    if vec.shape != (size,):
-        raise ProblemFormatError(f"{name}[{key}] must have shape ({size},)")
+    if vec.shape != (size,) or not np.isfinite(vec).all():
+        raise ProblemFormatError(f"{name}[{key}] must have shape ({size},) and finite entries")
     return vec.copy()
 
 
-def initial_state(
+def start(
     setup: SolverSetup,
-    x0: np.ndarray,
+    x0: np.ndarray | None,
     lam0: Mapping[int, np.ndarray] | None = None,
     v0: Mapping[int, np.ndarray] | None = None,
-) -> None:
-    """Check the start and write each group's ``x``, ``v`` and ``lam``.
+) -> dict:
+    """Check the start, write each group's ``x``, ``v`` and ``lam``, evaluate
+    the point and open the solve phase; returns the root's sums of that
+    ``residual-partial`` pass, the first decrease-test reference.
 
-    ``lam0`` maps every subproblem to positive multipliers and ``v0``
-    every clique to its equality multipliers; each defaults to all ones.
+    ``x0`` must be strictly feasible for the inequalities (equalities may
+    start violated); obtain one via :func:`phase_one` if needed.  ``lam0``
+    maps every subproblem to positive multipliers and ``v0`` every clique
+    to its equality multipliers; each defaults to all ones.
     """
     p = setup.problem
+    if x0 is None:
+        raise NotStrictlyFeasibleError(
+            "a strictly feasible x0 is required; obtain one via phase_one"
+        )
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (p.n,):
-        raise ProblemFormatError(f"x0 must have shape ({p.n},)")
+    if x0.shape != (p.n,) or not np.isfinite(x0).all():
+        raise ProblemFormatError(f"x0 must have shape ({p.n},) and finite entries")
     lam = {}
     for k, sp in enumerate(p.subproblems):
         lam[k] = start_vector(lam0, k, sp.m, "lam0")
         if sp.m and lam[k].min() <= 0:
             raise ProblemFormatError(f"lam0[{k}] must be positive")
-    for grp, members in zip(setup.groups, setup.network.groups):
+    net = setup.network
+    for grp, members in zip(setup.groups, net.groups):
         members.put("x", x0[[list(setup.tree.cliques[i]) for i in grp.members]])
         v = [start_vector(v0, i, grp.eq_b.shape[1], "v0") for i in grp.members]
         members.put("v", np.array(v))
         members.put("lam", [np.array([lam[k] for k in ks]) for ks in zip(*grp.keys)])
+    worst = p.max_inequality(x0)
+    if worst >= 0:
+        raise NotStrictlyFeasibleError(
+            f"x0 violates strict feasibility (max g = {worst:.3e}); run phase_one"
+        )
+    net.run_local(_start_kernel)
+    ref = net.run_up("residual-partial", functools.partial(_residual_up, False))
+    net.begin_phase("solve")
+    return ref
 
 
 def _step_scale(m_total: int) -> float:
@@ -659,145 +682,125 @@ class SolveResult:
         return worst
 
 
+def step(
+    setup: SolverSetup, params: SolverParams, ref: Mapping, it: int
+) -> tuple[TraceRow, dict, str | None]:
+    """Iteration ``it``: the pass schedule of the module docstring, once,
+    the decrease test against ``ref``, the root's sums at the current point.
+
+    Returns the trace row, the accepted candidate's sums (the next ``ref``)
+    and the status the step ends the solve with, ``"converged"`` or
+    ``"negative"`` (see :func:`solve`), else ``None``.
+    """
+    net = setup.network
+    root = net.agents[setup.tree.root]
+    m_total = setup.problem.m_total
+    watched = root.has("watch")
+    net.run_local(_qp_kernel)
+    net.run_up("qp-message", _dir_up)
+    net.run_down("separator-solution", _dir_down)
+    net.run_local(_corrector_kernel)
+    pred = net.run_up("corrector-message", _corr_up)
+    alpha_aff = pred["alpha"]
+    c0, c1, c2, c3 = pred["gap"].tolist()
+    eta_aff = c0 + alpha_aff * (c1 + alpha_aff * (c2 + alpha_aff * c3))
+    t = _next_t(c0, eta_aff, m_total)
+    root.put("t", t)
+    net.run_down("corrector-solution", _corr_down)
+    net.run_local(_step_kernel)
+    alpha = net.run_up("alpha-bound", functools.partial(_bound_up, _step_scale(m_total)))
+    root.put("alpha", alpha)
+    net.run_down("alpha-broadcast", _alpha_down)
+    backtracks = 0
+    while True:
+        net.run_local(_candidate_kernel)
+        cand = net.run_up("residual-partial", functools.partial(_residual_up, watched))
+        if _accept_test(cand, ref, alpha, params):
+            break
+        alpha *= params.beta
+        backtracks += 1
+        if alpha < ALPHA_STALL:
+            raise LineSearchStallError(
+                f"line search stalled at iteration {it} (alpha {alpha:.3e})"
+            )
+        root.put("alpha", alpha)
+        net.run_down("alpha-broadcast", _alpha_down)
+    p_norm, d_norm = math.sqrt(cand["p"]), math.sqrt(cand["d"])
+    row = TraceRow(it, p_norm, d_norm, cand["eta"], alpha, backtracks, t, 0, eta_aff)
+    negative = watched and cand["negative"]
+    status = "converged" if row.converged(params) else "negative" if negative else None
+    root.put("stop", status is not None)
+    net.run_down("stop-broadcast", _accept_down)
+    row.mp_steps_cum = net.mp_steps["solve"]
+    return row, cand, status
+
+
+def iterate(setup: SolverSetup) -> tuple[np.ndarray, dict, dict, dict]:
+    """The agents' point: ``x`` over all variables, each entry from the clique that
+    eliminates it, and views of their rows: ``x``, ``v`` per clique, ``lam`` per subproblem."""
+    agents, locs = setup.network.agents, setup.locals
+    x_clique = {i: env.get("x") for i, env in agents.items()}
+    v = {i: env.get("v") for i, env in agents.items()}
+    lam: dict[int, np.ndarray] = {}
+    x = np.zeros(setup.problem.n)
+    for i, env in agents.items():
+        lam.update(zip(setup.assignment.phi[i], env.get("lam")))
+        x[list(locs[i].lay.elim)] = x_clique[i][locs[i].lay.zpos]
+    return x, x_clique, v, lam
+
+
 def solve(
     p: CoupledProblem,
     params: SolverParams | None = None,
     x0: np.ndarray | None = None,
-    lam0: Mapping[int, np.ndarray] | None = None,
-    v0: Mapping[int, np.ndarray] | None = None,
     tree: chordal.CliqueTree | None = None,
     record_log: bool = True,
     stop_when_negative: Iterable[int] = (),
 ) -> SolveResult:
-    """Run the distributed interior-point method through the simulator.
+    """Run the distributed interior-point method through the simulator:
+    :func:`prepare`, :func:`start` from ``x0``, then :func:`step` until
+    the point converges or ``params.max_iters`` is reached.
 
-    ``x0`` must be strictly feasible for the inequalities (equalities may
-    start violated); obtain one via :func:`phase_one` if needed.  With
-    ``stop_when_negative`` given, the solve also ends, with status
+    With ``stop_when_negative`` given, the solve also ends, with status
     ``"negative"``, at the first accepted iterate where all those
     variables are negative; each agent checks the ones it owns.
     """
     params = params or SolverParams()
     setup = prepare(p, tree, record_log)
-    if x0 is None:
-        raise NotStrictlyFeasibleError(
-            "a strictly feasible x0 is required; obtain one via phase_one"
-        )
-    initial_state(setup, x0, lam0, v0)
-    worst = p.max_inequality(x0)
-    if worst >= 0:
-        raise NotStrictlyFeasibleError(
-            f"x0 violates strict feasibility (max g = {worst:.3e}); run phase_one"
-        )
-    net = setup.network
-    tree = setup.tree
-    root = net.agents[tree.root]
-    m_total = p.m_total
-    bound_up = functools.partial(_bound_up, _step_scale(m_total))
-
+    ref = start(setup, x0)
     watched = set(stop_when_negative)
-    candidate_up = functools.partial(_residual_up, bool(watched))
     if watched:
-        for members in net.groups:
+        for members in setup.network.groups:
             watch = np.zeros(members.get("x").shape, dtype=bool)
             for b, i in enumerate(members.ids):
                 lay = setup.locals[i].lay
                 watch[b, [t for t, u in zip(lay.zpos, lay.elim) if u in watched]] = True
             members.put("watch", watch)
-
-    # the start point's residuals, the first decrease-test reference; after
-    # that the root keeps the accepted candidate's
-    net.run_local(_start_kernel)
-    ref = net.run_up("residual-partial", functools.partial(_residual_up, False))
-
-    net.begin_phase("solve")
     trace = ConvergenceTrace()
-    total_backtracks = 0
     status = "max_iters"
-    iterations = 0
     for it in range(1, params.max_iters + 1):
-        iterations = it
-        net.run_local(_qp_kernel)
-        net.run_up("qp-message", _dir_up)
-        net.run_down("separator-solution", _dir_down)
-        net.run_local(_corrector_kernel)
-        pred = net.run_up("corrector-message", _corr_up)
-        alpha_aff = pred["alpha"]
-        c0, c1, c2, c3 = pred["gap"].tolist()
-        eta_aff = c0 + alpha_aff * (c1 + alpha_aff * (c2 + alpha_aff * c3))
-        t = _next_t(c0, eta_aff, m_total)
-        root.put("t", t)
-        net.run_down("corrector-solution", _corr_down)
-        net.run_local(_step_kernel)
-        alpha = net.run_up("alpha-bound", bound_up)
-        root.put("alpha", alpha)
-        net.run_down("alpha-broadcast", _alpha_down)
-        backtracks = 0
-        while True:
-            net.run_local(_candidate_kernel)
-            cand = net.run_up("residual-partial", candidate_up)
-            if _accept_test(cand, ref, alpha, params):
-                break
-            alpha *= params.beta
-            backtracks += 1
-            if alpha < ALPHA_STALL:
-                raise LineSearchStallError(
-                    f"line search stalled at iteration {it} (alpha {alpha:.3e})"
-                )
-            root.put("alpha", alpha)
-            net.run_down("alpha-broadcast", _alpha_down)
-        eta = cand["eta"]
-        stop = (
-            math.sqrt(cand["p"]) <= params.eps_feas
-            and math.sqrt(cand["d"]) <= params.eps_feas
-            and eta <= params.eps
-        )
-        negative = bool(watched) and cand["negative"]
-        root.put("stop", stop or negative)
-        net.run_down("stop-broadcast", _accept_down)
-        ref = cand
-        trace.rows.append(
-            TraceRow(
-                it,
-                math.sqrt(cand["p"]),
-                math.sqrt(cand["d"]),
-                eta,
-                alpha,
-                backtracks,
-                t,
-                net.mp_steps["solve"],
-                eta_aff,
-            )
-        )
-        total_backtracks += backtracks
-        if stop or negative:
-            status = "converged" if stop else "negative"
+        row, ref, stop = step(setup, params, ref, it)
+        trace.rows.append(row)
+        if stop:
+            status = stop
             break
-
-    agents = net.agents
-    x_clique = {i: agents[i].get("x") for i in range(tree.q)}
-    v_out = {i: agents[i].get("v") for i in range(tree.q)}
-    lam_out: dict[int, np.ndarray] = {}
-    for i in range(tree.q):
-        lam_out.update(zip(setup.assignment.phi[i], agents[i].get("lam")))
-    x_global = np.zeros(p.n)
-    for i in range(tree.q):
-        lay = setup.locals[i].lay
-        x_global[list(lay.elim)] = x_clique[i][lay.zpos]
-    report = netsim.accounting(net, iterations, total_backtracks, strict=True)
+    x, x_clique, v, lam = iterate(setup)
+    iterations = len(trace)
+    total_backtracks = sum(row.backtracks for row in trace.rows)
+    report = netsim.accounting(setup.network, iterations, total_backtracks, strict=True)
     return SolveResult(
-        x=x_global,
+        x=x,
         x_clique=x_clique,
-        v=v_out,
-        lam=lam_out,
-        objective=p.objective_value(x_global),
+        v=v,
+        lam=lam,
+        objective=p.objective_value(x),
         converged=status == "converged",
         status=status,
         iterations=iterations,
         total_backtracks=total_backtracks,
         trace=trace,
         accounting=report,
-        network=net,
+        network=setup.network,
         setup=setup,
     )
 
@@ -834,7 +837,7 @@ def phase_one(
     slack sum where the solve ended.
     """
     params = params or SolverParams()
-    p.validate()
+    p.ensure_valid()
     origin = np.zeros(p.n)
     worst = p.max_inequality(origin)
     if worst < 0:
@@ -872,7 +875,8 @@ def phase_one(
             cons.append(model.Constraint("affine", a, -PHASE_ONE_SLACK))
         P = np.diag(np.r_[np.full(d, PHASE_ONE_PROX), np.zeros(sp.m)])
         subs.append(Subproblem(scope, model.QuadraticForm(P, qvec), cons))
-    aux = CoupledProblem(n + m_total, subs)  # validated by solve's prepare
+    # symmetric PSD blocks padded with zeros; the slacks cover n..n+m_total-1
+    aux = CoupledProblem(n + m_total, subs, validated=True)
 
     s0 = np.empty(m_total)
     pos = 0
@@ -931,7 +935,7 @@ class Component:
 
 def split_components(p: CoupledProblem) -> list[Component]:
     """Split ``p`` into the connected components of its sparsity graph."""
-    p.validate()
+    p.ensure_valid()
     g = chordal.sparsity_graph(p.scopes(), p.n)
     out: list[Component] = []
     for comp in chordal.connected_components(g):
@@ -940,8 +944,8 @@ def split_components(p: CoupledProblem) -> list[Component]:
         subs = [copy.deepcopy(p.subproblems[k]) for k in sub_ids]
         for sp in subs:
             sp.J = tuple(var_map[v] for v in sp.J)
-        # copied from the validated p; phase_one or prepare validates it next
-        sub_p = CoupledProblem(len(comp), subs)
+        # copied from the validated p, the scopes renumbered in order
+        sub_p = CoupledProblem(len(comp), subs, validated=True)
         out.append(Component(list(comp), sub_ids, sub_p))
     return out
 

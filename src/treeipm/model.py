@@ -177,6 +177,11 @@ class Subproblem:
         d = self.dim
         if d == 0:
             raise ProblemFormatError(f"{label}: empty scope")
+        coefficients = [self.objective.P, self.objective.q, self.objective.r, self.eq_A, self.eq_b]
+        for con in self.inequalities:
+            coefficients += [con.a, con.b] if con.Q is None else [con.a, con.b, con.Q]
+        if not all(np.isfinite(part).all() for part in coefficients):
+            raise ProblemFormatError(f"{label}: coefficients must be finite")
         self.objective.validate(d, f"{label}/objective")
         for c_idx, con in enumerate(self.inequalities):
             con.validate(d, f"{label}/inequalities/{c_idx}")
@@ -230,10 +235,13 @@ def eval_subproblem(
 
 @dataclass
 class CoupledProblem:
-    """A loosely coupled convex program over ``n`` shared variables."""
+    """A loosely coupled convex program over ``n`` shared variables;
+    ``validated`` is set once it passed :meth:`validate`, or when built
+    from validated parts."""
 
     n: int
     subproblems: list[Subproblem]
+    validated: bool = field(default=False, repr=False, compare=False)
 
     @property
     def m_total(self) -> int:
@@ -256,7 +264,12 @@ class CoupledProblem:
         if covered != set(range(self.n)):
             missing = sorted(set(range(self.n)) - covered)
             raise ProblemFormatError(f"variables not covered by any scope: {missing}")
+        self.validated = True
         return self
+
+    def ensure_valid(self) -> "CoupledProblem":
+        """``self``, validated unless it already passed :meth:`validate`."""
+        return self if self.validated else self.validate()
 
     def objective_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

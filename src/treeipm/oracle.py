@@ -9,7 +9,7 @@ symmetric-indefinite solves used per clique).  Tests compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ from treeipm.errors import (
     EliminationError,
     LineSearchStallError,
     NotStrictlyFeasibleError,
+    ProblemFormatError,
 )
 from treeipm.ipm import (
     ALPHA_STALL,
@@ -27,7 +28,6 @@ from treeipm.ipm import (
     TraceRow,
     _next_t,
     _step_scale,
-    start_vector,
 )
 from treeipm.model import Assignment, CoupledProblem, eval_subproblem
 
@@ -279,12 +279,63 @@ class CentralizedResult:
     trace: ConvergenceTrace
 
 
+def centralized_step(
+    p: CoupledProblem,
+    a: Assignment,
+    tree: chordal.CliqueTree,
+    params: SolverParams,
+    x: np.ndarray,
+    lam: Mapping[int, np.ndarray],
+    v: Mapping[int, np.ndarray],
+    it: int,
+    use_lstsq: bool = False,
+) -> tuple[TraceRow, np.ndarray, dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Iteration ``it`` of :func:`centralized_ipm` from ``(x, lam, v)``:
+    its trace row and the accepted ``(x, lam, v)``."""
+    _, (dx, dv, dlam), t, eta_aff = mehrotra_direction(
+        p, a, tree, x, lam, v, use_lstsq=use_lstsq
+    )
+    amax = 1.0
+    for k, sp in enumerate(p.subproblems):
+        d = dlam[k]
+        mask = d < 0
+        if mask.any():
+            amax = min(amax, float(np.min(-lam[k][mask] / d[mask])))
+    alpha = _step_scale(p.m_total) * amax
+    w_old = dual_residual(p, a, tree, x, lam, v)
+    p_old_sq = primal_residual_sq(a, tree, x)
+    d_old_sq = float(w_old @ w_old)
+    backtracks = 0
+    while True:
+        x_hat = x + alpha * dx
+        if p.max_inequality(x_hat) < 0:
+            lam_hat = {k: lam[k] + alpha * dlam[k] for k in lam}
+            v_hat = {i: v[i] + alpha * dv[i] for i in v}
+            w_hat = dual_residual(p, a, tree, x_hat, lam_hat, v_hat)
+            p_new_sq = primal_residual_sq(a, tree, x_hat)
+            d_new_sq = float(w_hat @ w_hat)
+            lhs = p_new_sq + d_new_sq
+            rhs = (1.0 - params.gamma * alpha) ** 2 * (p_old_sq + d_old_sq)
+            floor = params.eps_feas**2
+            if lhs <= rhs or (p_new_sq <= floor and d_new_sq <= floor):
+                break
+        alpha *= params.beta
+        backtracks += 1
+        if alpha < ALPHA_STALL:
+            raise LineSearchStallError(
+                f"line search stalled at iteration {it} (alpha {alpha:.3e})"
+            )
+    eta = surrogate_gap(p, x_hat, lam_hat)
+    row = TraceRow(
+        it, math.sqrt(p_new_sq), math.sqrt(d_new_sq), eta, alpha, backtracks, t, 0, eta_aff
+    )
+    return row, x_hat, lam_hat, v_hat
+
+
 def centralized_ipm(
     p: CoupledProblem,
     params: SolverParams | None = None,
     x0: np.ndarray | None = None,
-    lam0: Mapping[int, np.ndarray] | None = None,
-    v0: Mapping[int, np.ndarray] | None = None,
     tree: chordal.CliqueTree | None = None,
     assignment: Assignment | None = None,
     use_lstsq: bool = False,
@@ -294,15 +345,18 @@ def centralized_ipm(
     Mirrors the distributed update rules (same Mehrotra predictor-corrector
     step, same two-stage line search) but computes everything from dense
     global matrices: each iteration makes one dense solve for the affine
-    direction and one for the corrected direction.  With ``assignment``
-    given, runs on those equality blocks as-is; by default it takes the
-    blocks the distributed solver reduces, from :func:`ipm.prepare`.
+    direction and one for the corrected direction.  Starts from ``x0``
+    with all multipliers one.  With ``assignment`` given, runs on those
+    equality blocks as-is; by default it takes the blocks the distributed
+    solver reduces, from :func:`ipm.prepare`.
     """
     params = params or SolverParams()
-    p.validate()
+    p.ensure_valid()
     if x0 is None:
         raise NotStrictlyFeasibleError("x0 is required")
     x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (p.n,) or not np.isfinite(x).all():
+        raise ProblemFormatError(f"x0 must have shape ({p.n},) and finite entries")
     worst = p.max_inequality(x)
     if worst >= 0:
         raise NotStrictlyFeasibleError(
@@ -312,79 +366,14 @@ def centralized_ipm(
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     if assignment is None:
         assignment = ipm.prepare(p, tree).assignment
-
-    lam = {
-        k: start_vector(lam0, k, sp.m, "lam0") for k, sp in enumerate(p.subproblems)
-    }
-    v = {
-        i: start_vector(v0, i, assignment.local_eq[i][0].shape[0], "v0")
-        for i in range(tree.q)
-    }
-
-    m_total = p.m_total
-    scale = _step_scale(m_total)
-
+    lam = {k: np.ones(sp.m) for k, sp in enumerate(p.subproblems)}
+    v = {i: np.ones(assignment.local_eq[i][0].shape[0]) for i in range(tree.q)}
     trace = ConvergenceTrace()
-    total_backtracks = 0
     status = "max_iters"
-    iterations = 0
     for it in range(1, params.max_iters + 1):
-        iterations = it
-        _, (dx, dv, dlam), t, eta_aff = mehrotra_direction(
-            p, assignment, tree, x, lam, v, use_lstsq=use_lstsq
-        )
-        amax = 1.0
-        for k, sp in enumerate(p.subproblems):
-            d = dlam[k]
-            mask = d < 0
-            if mask.any():
-                amax = min(amax, float(np.min(-lam[k][mask] / d[mask])))
-        alpha = scale * amax
-        w_old = dual_residual(p, assignment, tree, x, lam, v)
-        p_old_sq = primal_residual_sq(assignment, tree, x)
-        d_old_sq = float(w_old @ w_old)
-        backtracks = 0
-        while True:
-            x_hat = x + alpha * dx
-            ok = p.max_inequality(x_hat) < 0
-            if ok:
-                lam_hat = {k: lam[k] + alpha * dlam[k] for k in lam}
-                v_hat = {i: v[i] + alpha * dv[i] for i in v}
-                w_hat = dual_residual(p, assignment, tree, x_hat, lam_hat, v_hat)
-                p_new_sq = primal_residual_sq(assignment, tree, x_hat)
-                d_new_sq = float(w_hat @ w_hat)
-                lhs = p_new_sq + d_new_sq
-                rhs = (1.0 - params.gamma * alpha) ** 2 * (p_old_sq + d_old_sq)
-                floor = params.eps_feas**2
-                if lhs <= rhs or (p_new_sq <= floor and d_new_sq <= floor):
-                    break
-            alpha *= params.beta
-            backtracks += 1
-            if alpha < ALPHA_STALL:
-                raise LineSearchStallError(
-                    f"line search stalled at iteration {it} (alpha {alpha:.3e})"
-                )
-        x, lam, v = x_hat, lam_hat, v_hat
-        eta = surrogate_gap(p, x, lam)
-        trace.rows.append(
-            TraceRow(
-                it,
-                math.sqrt(p_new_sq),
-                math.sqrt(d_new_sq),
-                eta,
-                alpha,
-                backtracks,
-                t,
-                0,
-                eta_aff,
-            )
-        )
-        total_backtracks += backtracks
-        if (
-            math.sqrt(p_new_sq) <= params.eps_feas
-            and math.sqrt(d_new_sq) <= params.eps_feas
-            and eta <= params.eps
-        ):
+        row, x, lam, v = centralized_step(p, assignment, tree, params, x, lam, v, it, use_lstsq)
+        trace.rows.append(row)
+        if row.converged(params):
             status = "converged"
             break
     return CentralizedResult(
@@ -394,8 +383,8 @@ def centralized_ipm(
         objective=p.objective_value(x),
         converged=status == "converged",
         status=status,
-        iterations=iterations,
-        total_backtracks=total_backtracks,
+        iterations=len(trace),
+        total_backtracks=sum(row.backtracks for row in trace.rows),
         trace=trace,
     )
 
@@ -409,24 +398,19 @@ def same_iterate_steps(
 ) -> list[tuple[float, float]]:
     """Distributed and centralized step sizes taken from the same iterates.
 
-    Replays a distributed solve from ``x0`` one iteration at a time, each
-    one-iteration solve starting from the ``(x, lam, v)`` the last one
-    returned: the iteration carries no other state, so the replay retraces
-    the free-running trajectory exactly.  From every iterate the
-    centralized loop takes one step too, on the equality blocks the
-    distributed step reduced.  Returns one ``(distributed, centralized)``
-    pair of step sizes per iteration.
+    Runs ``iterations`` distributed steps from ``x0``, the free-running
+    trajectory, and from every iterate on it one centralized step too, on
+    the equality blocks the distributed set-up reduced.  Returns one
+    ``(distributed, centralized)`` pair of step sizes per iteration.
     """
-    one = replace(params, max_iters=1)
-    x, lam, v = x0, None, None
+    setup = ipm.prepare(p, tree)
+    ref = ipm.start(setup, x0)
     out = []
-    for _ in range(iterations):
-        step = ipm.solve(p, one, x, lam, v, tree=tree, record_log=False)
-        ref = centralized_ipm(
-            p, one, x, lam, v, tree=tree, assignment=step.setup.assignment
-        )
-        out.append((step.trace.rows[0].alpha, ref.trace.rows[0].alpha))
-        x, lam, v = step.x, step.lam, step.v
+    for it in range(1, iterations + 1):
+        x, _, v, lam = ipm.iterate(setup)
+        central = centralized_step(p, setup.assignment, setup.tree, params, x, lam, v, it)[0]
+        row, ref, _ = ipm.step(setup, params, ref, it)
+        out.append((row.alpha, central.alpha))
     return out
 
 

@@ -138,15 +138,15 @@ def interior_duals(
     return lam, v
 
 
-def agent_directions(res):
-    """Affine and corrected directions the agents took in a solve's last iteration.
+def agent_directions(setup):
+    """Affine and corrected directions the agents took in their last step.
 
     Read from each agent's rows as ``(dx, dv, dlam)`` with ``dx`` and
     ``dv`` per clique and ``dlam`` per subproblem; agents keep no affine
     multiplier direction, so the affine ``dlam`` is empty.
     """
-    envs = res.network.agents.values()
-    phi = res.setup.assignment.phi
+    envs = setup.network.agents.values()
+    phi = setup.assignment.phi
     aff = (
         {env.id: env.get("aff")[0] for env in envs},
         {env.id: env.get("aff")[1] for env in envs},

@@ -63,8 +63,8 @@ def test_criterion_1_directions_match_dense_newton():
         p, x0 = random_loose_qp(rng)
         setup = ipm.prepare(p)
         lam, v = interior_duals(rng, p, setup.assignment)
-        res = ipm.solve(p, one, x0, lam, v, tree=setup.tree, record_log=False)
-        aff, corr = agent_directions(res)
+        ipm.step(setup, one, ipm.start(setup, x0, lam, v), 1)
+        aff, corr = agent_directions(setup)
         aff_ref, corr_ref, _, _ = oracle.mehrotra_direction(
             p, setup.assignment, setup.tree, x0, lam, v
         )

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from treeipm import cli, ipm, model
+from treeipm import cli, ipm, model, oracle
+from treeipm.errors import ProblemFormatError
 
 
 def run_cli(*args, cwd=None):
@@ -224,6 +226,39 @@ def test_malformed_input_files_exit_4(tmp_path, flow_files, capsys, make_argv):
     argv = [str(a) for a in make_argv(tmp_path, problem)]
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("objective", "q", 0), math.nan),
+        (("objective", "P", 0, 0), math.inf),
+        (("inequalities", 0, "b"), math.nan),
+    ],
+    ids=["q-nan", "P-inf", "b-nan"],
+)
+def test_non_finite_input_is_malformed(tmp_path, flow_files, capsys, where, value):
+    _, problem, x0_path = flow_files
+    doc = json.loads(problem.read_text())
+    entry = doc["subproblems"][0]
+    for key in where[:-1]:
+        entry = entry[key]
+    entry[where[-1]] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    x0 = np.array(json.loads(x0_path.read_text())["x0"])
+    bad_x0 = x0.copy()
+    bad_x0[0] = value
+    (tmp_path / "x0.json").write_text(json.dumps({"x0": bad_x0.tolist()}))
+    for args in ([tmp_path / "bad.json"], [problem, "--x0", tmp_path / "x0.json"]):
+        assert cli.main([str(a) for a in ("solve", *args, "--out", tmp_path)]) == 4
+        assert "finite" in capsys.readouterr().err
+    p = model.load_problem(problem)
+    for solver in (ipm.solve, oracle.centralized_ipm):
+        with pytest.raises(ProblemFormatError, match="finite"):
+            solver(p, x0=bad_x0)
+    lam0 = {k: np.full(sp.m, value) for k, sp in enumerate(p.subproblems)}
+    with pytest.raises(ProblemFormatError, match="finite"):
+        ipm.start(ipm.prepare(p), x0, lam0)
 
 
 def test_infeasible_problem_is_exit_2(tmp_path):

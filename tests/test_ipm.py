@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import functools
 import math
 
 import numpy as np
@@ -77,7 +76,7 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
 def test_initial_state_shapes(rng):
     p, x0 = random_loose_qp(rng)
     setup = ipm.prepare(p)
-    ipm.initial_state(setup, x0)
+    ipm.start(setup, x0)
     lam = {}
     for i, env in setup.network.agents.items():
         assert env.get("x").shape == (len(setup.tree.cliques[i]),)
@@ -87,15 +86,15 @@ def test_initial_state_shapes(rng):
     for k, sp in enumerate(p.subproblems):
         assert np.all(lam[k] == 1.0)
     with pytest.raises(ProblemFormatError):
-        ipm.initial_state(setup, x0[:-1])
+        ipm.start(setup, x0[:-1])
     negative = {k: -np.ones(sp.m) for k, sp in enumerate(p.subproblems)}
     with pytest.raises(ProblemFormatError, match="must be positive"):
-        ipm.initial_state(setup, x0, lam0=negative)
+        ipm.start(setup, x0, lam0=negative)
     # a mapping missing an entry is malformed input, not a KeyError
     with pytest.raises(ProblemFormatError, match="lam0 has no entry for 1"):
-        ipm.initial_state(setup, x0, lam0={0: np.ones(p.subproblems[0].m)})
+        ipm.start(setup, x0, lam0={0: np.ones(p.subproblems[0].m)})
     with pytest.raises(ProblemFormatError, match="v0 has no entry for 0"):
-        ipm.initial_state(setup, x0, v0={})
+        ipm.start(setup, x0, v0={})
 
 
 def test_step_scale_and_barrier_updates():
@@ -121,8 +120,8 @@ def test_directions_match_dense_newton(rng):
         p, x0 = random_loose_qp(rng)
         setup = ipm.prepare(p)
         lam, v = interior_duals(rng, p, setup.assignment)
-        res = ipm.solve(p, ONE, x0, lam, v, tree=setup.tree, record_log=False)
-        aff, corr = agent_directions(res)
+        ipm.step(setup, ONE, ipm.start(setup, x0, lam, v), 1)
+        aff, corr = agent_directions(setup)
         aff_ref, corr_ref, _, _ = oracle.mehrotra_direction(
             p, setup.assignment, setup.tree, x0, lam, v
         )
@@ -230,8 +229,10 @@ def test_wrong_shape_start_is_a_format_error():
 
 
 def test_problem_format_is_checked_before_the_start():
-    p, x0 = model.gen_flow([-1, 0, 0])
-    p.subproblems[0].objective.q = np.zeros(p.subproblems[0].dim + 1)
+    flow, x0 = model.gen_flow([-1, 0, 0])
+    flow.subproblems[0].objective.q = np.zeros(flow.subproblems[0].dim + 1)
+    # a problem is validated once, so the broken copy is a new, unchecked one
+    p = model.CoupledProblem(flow.n, flow.subproblems)
     with pytest.raises(ProblemFormatError, match="objective dims"):
         ipm.solve(p)
     with pytest.raises(ProblemFormatError, match="objective dims"):
@@ -427,10 +428,9 @@ def test_iteration_does_no_layout_work(rng, monkeypatch):
 
 # ---------------- local steps and pass units ----------------
 #
-# One more iteration is replayed from a solve's last state, and every
-# local-step kernel and pass handler is checked: its output for a whole
-# group or pass unit must be bitwise its output for each member alone, so
-# nothing is reduced across members.
+# The steps of a solve run probed: every local-step kernel and pass handler
+# is checked, its output for a whole group or pass unit must be bitwise its
+# output for each member alone, so nothing is reduced across members.
 
 
 def bitwise_same(a, b) -> bool:
@@ -471,7 +471,10 @@ def probe_handler(handler, down=False):
         fields = unit._fields
         before = copy.deepcopy(fields)
         out = handler(unit, inboxes)
-        after = copy.deepcopy(fields)
+        # the fields themselves go back, as the agents' views point into
+        # them, and the counters, as the solve's accounting checks them
+        real, after = dict(fields), copy.deepcopy(fields)
+        factorizations = copy.deepcopy(unit.net.factorizations)
         for b, i in enumerate(unit.ids):
             row = unit.spec.rows.start + b
             fields.clear()
@@ -483,65 +486,57 @@ def probe_handler(handler, down=False):
             assert bitwise_same(got, want), (handler, i)
             assert bitwise_same(rows(fields, row), rows(after, row)), (handler, i)
         fields.clear()
-        fields.update(after)
+        fields.update(real)
+        unit.net.factorizations = factorizations
         return out
 
     return run
 
 
-def replay_probed(res) -> int:
-    """One more iteration from the last state of ``res``, probed; returns
-    the largest pass unit."""
-    net = res.network
-    root = net.agents[res.setup.tree.root]
-    watched = "watch" in net.groups[0]._fields
+def probe_steps(monkeypatch) -> list[int]:
+    """Run every later ``ipm.start`` and ``ipm.step`` with its local steps
+    and passes probed; returns the list that gets, per probed call, the
+    largest pass unit."""
+    sizes = []
+    Network = netsim.Network
+    run_local, run_up, run_down = Network.run_local, Network.run_up, Network.run_down
+    for name in ("start", "step"):
 
-    def local(kernel):
-        net.run_local(probe_kernel(res.setup, kernel))
+        def probed(setup, *args, _original=getattr(ipm, name)):
+            with monkeypatch.context() as m:
+                m.setattr(Network, "run_local", lambda n, k: run_local(n, probe_kernel(setup, k)))
+                m.setattr(Network, "run_up", lambda n, kind, h: run_up(n, kind, probe_handler(h)))
+                m.setattr(
+                    Network, "run_down", lambda n, kind, h: run_down(n, kind, probe_handler(h, True))
+                )
+                out = _original(setup, *args)
+            sizes.append(max(len(unit.ids) for level in setup.network.units for unit in level))
+            return out
 
-    local(ipm._start_kernel)
-    local(ipm._qp_kernel)
-    net.run_up("qp-message", probe_handler(ipm._dir_up))
-    net.run_down("separator-solution", probe_handler(ipm._dir_down, down=True))
-    local(ipm._corrector_kernel)
-    net.run_up("corrector-message", probe_handler(ipm._corr_up))
-    root.put("t", res.trace.rows[-1].t)
-    net.run_down("corrector-solution", probe_handler(ipm._corr_down, down=True))
-    local(ipm._step_kernel)
-    alpha = net.run_up("alpha-bound", probe_handler(functools.partial(ipm._bound_up, 0.99)))
-    root.put("alpha", alpha)
-    net.run_down("alpha-broadcast", probe_handler(ipm._alpha_down, down=True))
-    local(ipm._candidate_kernel)
-    net.run_up("residual-partial", probe_handler(functools.partial(ipm._residual_up, watched)))
-    root.put("stop", False)
-    net.run_down("stop-broadcast", probe_handler(ipm._accept_down, down=True))
-    return max(len(unit.ids) for level in net.units for unit in level)
+        monkeypatch.setattr(ipm, name, probed)
+    return sizes
 
 
-def test_flow_tree_units_give_each_member_what_it_gets_alone():
+TWO = ipm.SolverParams(max_iters=2)
+
+
+def test_flow_tree_units_give_each_member_what_it_gets_alone(monkeypatch):
     p, x0 = model.gen_flow(model.balanced_tree(4, 2), seed=0)
-    res = ipm.solve(p, ONE, x0, record_log=False)
-    assert replay_probed(res) > 1
+    sizes = probe_steps(monkeypatch)
+    ipm.solve(p, TWO, x0, record_log=False)
+    assert len(sizes) == 3 and sizes[0] > 1
 
 
 def test_phase_one_units_give_each_member_what_it_gets_alone(monkeypatch):
     # the auxiliary problem adds a slack row and a slack bound per
-    # inequality; stop its solve after one iteration and check that state
+    # inequality, and its solve watches the slacks
     p, _ = model.gen_flow(model.balanced_tree(3, 2), seed=1)
-    runs = []
-    solve = ipm.solve
-
-    def one_step(aux, params, x, **kwargs):
-        runs.append(solve(aux, ONE, x, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(ipm, "solve", one_step)
+    sizes = probe_steps(monkeypatch)
     try:
-        ipm.phase_one(p)
+        ipm.phase_one(p, TWO)
     except (NotStrictlyFeasibleError, InfeasibleProblemError):
         pass
-    (res,) = runs
-    assert replay_probed(res) > 1
+    assert len(sizes) >= 2 and sizes[0] > 1
 
 
 def rescaled(p: model.CoupledProblem, shift: int = 0) -> list[model.Subproblem]:
@@ -579,18 +574,19 @@ def twins(p: model.CoupledProblem, x0: np.ndarray):
     return both, np.r_[x0, x0, 0.0], make_rooted_tree(cliques, parents)
 
 
-def test_loose_qp_units_give_each_member_what_it_gets_alone():
+def test_loose_qp_units_give_each_member_what_it_gets_alone(monkeypatch):
     # random loose QPs rarely repeat a clique shape, so each clique runs
     # next to its twin; these seeds bring quadratic rows, a redundant
     # equality row and a clique that hosts no subproblem
+    sizes = probe_steps(monkeypatch)
     for seed in (0, 6, 13):
         rng = np.random.default_rng(seed)
         p, x0 = random_loose_qp(rng, eq_redundancy=1, eq_at_interior=True)
         assert any(c.kind == "quadratic" for sp in p.subproblems for c in sp.inequalities)
         both, start, tree = twins(p, x0)
-        res = ipm.solve(both, ONE, start, tree=tree, record_log=False)
+        res = ipm.solve(both, TWO, start, tree=tree, record_log=False)
         assert not all(res.setup.assignment.phi.values())
-        assert replay_probed(res) == 2
+        assert sizes[-3:] == [2, 2, 2]
 
 
 def test_batched_reads_are_each_agents_own():
@@ -670,9 +666,9 @@ def test_solve_auto_handles_components():
 
 
 def test_solve_auto_validates_each_problem_once(monkeypatch):
-    # two components, each started by phase one's auxiliary solve: the input
-    # is checked once, then each component by phase one, the auxiliary
-    # problem by its prepare and the component by the main solve's prepare
+    # two components, each started by phase one's auxiliary solve: only the
+    # input is checked; the components and the auxiliary problems are built
+    # from its validated parts
     box = [
         model.Constraint("affine", np.array([1.0]), -3.0),
         model.Constraint("affine", np.array([-1.0]), 1.0),
@@ -681,7 +677,8 @@ def test_solve_auto_validates_each_problem_once(monkeypatch):
         model.Subproblem((j,), model.QuadraticForm(np.eye(1), np.zeros(1)), box)
         for j in (0, 1)
     ]
-    p = model.CoupledProblem(2, subs).validate()
+    p = model.CoupledProblem(2, subs)
+    flow, x0 = model.gen_flow([-1, 0, 0])
     calls = []
     validate = model.CoupledProblem.validate
 
@@ -693,7 +690,10 @@ def test_solve_auto_validates_each_problem_once(monkeypatch):
     runs = ipm.solve_auto(p)
     assert [r.phase_one.pre_check for r in runs] == [False, False]
     assert all(r.result.converged for r in runs)
-    assert len(calls) == 1 + 2 * 3
+    assert calls == [2]
+    # a generated problem comes validated
+    assert ipm.solve(flow, x0=x0).converged
+    assert calls == [2]
 
 
 def test_solve_auto_uses_given_start_where_feasible():

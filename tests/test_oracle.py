@@ -206,9 +206,9 @@ def test_centralized_requires_feasible_start():
 # ---------------- one-shot elimination oracles ----------------
 
 
-def test_same_iterate_replay_prepares_once_per_step(monkeypatch):
-    # the centralized step runs on the blocks the distributed step reduced,
-    # so only the one-iteration distributed solve prepares the problem
+def test_same_iterate_replay_prepares_once(monkeypatch):
+    # the replay prepares and starts once and steps from there; the
+    # centralized steps run on the blocks that set-up reduced
     p, x0 = model.gen_flow(model.balanced_tree(1, 2), seed=0)
     _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     calls = []
@@ -221,7 +221,7 @@ def test_same_iterate_replay_prepares_once_per_step(monkeypatch):
     monkeypatch.setattr(ipm, "prepare", counted)
     steps = oracle.same_iterate_steps(p, ipm.SolverParams(), x0, 5, tree)
     assert len(steps) == 5
-    assert len(calls) == 5
+    assert len(calls) == 1
 
 
 def test_parametric_min_oracle_quadratic_identity(rng):

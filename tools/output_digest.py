@@ -1,4 +1,4 @@
-"""One SHA-256 per solve over everything the solve returns.
+"""One SHA-256 per solve over everything the solve returns, and per replay.
 
 Run from the repository root::
 
@@ -17,7 +17,10 @@ phase-one report.  The solves are:
   jittered;
 - ``loose/<s>/<c>``: component ``c`` of ``ipm.solve_auto`` on
   ``bench/loose_qp.py`` seed ``s``, seeds 0-47 and the two instances
-  that end ``max_iters``, 390 and 454.
+  that end ``max_iters``, 390 and 454;
+- ``replay/<s>``: the ``repr`` of the ``(distributed, centralized)`` step
+  pairs that ``oracle.same_iterate_steps`` returns along the ``flow/<s>``
+  solve, seeds 0-9.
 
 Two checkouts whose solver arithmetic agrees bit for bit print the same
 file, so ``diff`` of two runs is the byte-equality check.
@@ -42,7 +45,7 @@ import numpy as np  # noqa: E402
 
 import loose_qp  # noqa: E402
 import workloads  # noqa: E402
-from treeipm import ipm, model  # noqa: E402
+from treeipm import ipm, model, oracle  # noqa: E402
 
 TWO_CHAIN = [-1, 0, 0, 1, 2, 3, 4]
 
@@ -71,9 +74,14 @@ def digest(res: ipm.SolveResult, extra: str = "") -> str:
 
 
 def main() -> int:
+    replays = []
     for s in range(50):
         p, x0 = model.gen_flow(TWO_CHAIN, seed=s)
-        print(f"flow/{s}", digest(ipm.solve(p, x0=x0)), flush=True)
+        res = ipm.solve(p, x0=x0)
+        print(f"flow/{s}", digest(res), flush=True)
+        if s < 10:
+            pairs = oracle.same_iterate_steps(p, ipm.SolverParams(), x0, res.iterations, res.setup.tree)
+            replays.append(hashlib.sha256(repr(pairs).encode()).hexdigest())
     p, x0 = model.gen_flow(
         model.balanced_tree(8, 2),
         params=model.sample_flow_params(511, np.random.default_rng(0)),
@@ -87,6 +95,8 @@ def main() -> int:
         p, _ = loose_qp.generate(s)
         for c, run in enumerate(ipm.solve_auto(p)):
             print(f"loose/{s}/{c}", digest(run.result, repr(run.phase_one)), flush=True)
+    for s, h in enumerate(replays):
+        print(f"replay/{s}", h, flush=True)
     return 0
 
 
