@@ -1,17 +1,19 @@
 """Solve a tree-structured equality-constrained QP by message passing.
 
-Three cliques form a chain over four variables.  Each leaf-to-root
-message is the exact parametric minimum of a subtree as a quadratic in
-the separator variable, so the root ends up with a one-dimensional
-problem whose value equals the global optimum.  The result is checked
-against the dense saddle-point system.
+Three cliques form a chain over four variables, one agent each on a
+simulated network.  The solver's own ``qp-message`` pass sends each
+leaf-to-root message, the exact parametric minimum of a subtree as a
+quadratic in the separator variable, so the root ends up with a
+one-dimensional problem whose value equals the global optimum; its
+``separator-solution`` pass sends the separator values back down.  The
+result is checked against the dense saddle-point system.
 
     python3 demos/02_message_passing.py
 """
 
 import numpy as np
 
-from treeipm import chordal, treeqp
+from treeipm import chordal, ipm, model, netsim, oracle
 
 
 def build_chain():
@@ -30,14 +32,14 @@ def build_chain():
         depth=depth,
         height=2,
     )
+    # per clique (H, r, A, beta): 0.5 d'H d + r'd subject to A d = beta
     data = {
-        0: treeqp.CliqueQpData((0, 1), np.array([[2.0, 0.5], [0.5, 1.0]]),
-                               np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0)),
-        1: treeqp.CliqueQpData((1, 2), np.array([[1.0, 0.2], [0.2, 3.0]]),
-                               np.array([0.0, -1.0]),
-                               np.array([[1.0, 1.0]]), np.array([2.0])),
-        2: treeqp.CliqueQpData((2, 3), np.array([[1.0, 0.0], [0.0, 2.0]]),
-                               np.array([0.5, 1.0]), np.zeros((0, 2)), np.zeros(0)),
+        0: (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, 0.0]),
+            np.zeros((0, 2)), np.zeros(0)),
+        1: (np.array([[1.0, 0.2], [0.2, 3.0]]), np.array([0.0, -1.0]),
+            np.array([[1.0, 1.0]]), np.array([2.0])),
+        2: (np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.5, 1.0]),
+            np.zeros((0, 2)), np.zeros(0)),
     }
     return tree, data
 
@@ -46,24 +48,44 @@ def dense_reference(tree, data, n=4):
     """Assemble the global KKT system and solve it in one shot."""
     Q = np.zeros((n, n))
     r = np.zeros(n)
-    c = 0.0
     rows, rhs = [], []
-    for i, d in data.items():
-        cols = list(d.clique)
-        Q[np.ix_(cols, cols)] += d.H
-        r[cols] += d.r
-        c += d.c
-        for k in range(d.A.shape[0]):
+    for i, (H, r_i, A, beta) in data.items():
+        cols = list(tree.cliques[i])
+        Q[np.ix_(cols, cols)] += H
+        r[cols] += r_i
+        for k in range(A.shape[0]):
             row = np.zeros(n)
-            row[cols] = d.A[k]
+            row[cols] = A[k]
             rows.append(row)
-            rhs.append(d.beta[k])
+            rhs.append(beta[k])
     A = np.array(rows)
     p = len(rows)
     kkt = np.block([[Q, A.T], [A, np.zeros((p, p))]])
     sol = np.linalg.solve(kkt, np.concatenate([-r, rhs]))
     x = sol[:n]
-    return x, float(0.5 * x @ Q @ x + r @ x + c)
+    return x, float(0.5 * x @ Q @ x + r @ x)
+
+
+def message_passing(tree, data):
+    """Run the solver's two passes on the tree QP; returns the messages by
+    sending clique and the network, whose agents keep ``aff = (dx, dv)``."""
+    net = netsim.Network(tree, record_log=False)
+    locs = {i: ipm.CliqueLocal(model.clique_layout(tree, i), A, beta)
+            for i, (_, _, A, beta) in data.items()}
+    for grp, members in zip(ipm.group_cliques(net, locs), net.groups):
+        H, r, beta = members.get("kkt")
+        for b, i in enumerate(grp.members):
+            H[b], r[b], _, beta[b] = data[i]
+    messages = {}
+
+    def up(unit, inboxes):
+        msgs = ipm._dir_up(unit, inboxes)
+        messages.update(zip(unit.ids, msgs))
+        return msgs
+
+    net.run_up("qp-message", up)
+    net.run_down("separator-solution", ipm._dir_down)
+    return messages, net
 
 
 def main():
@@ -71,24 +93,23 @@ def main():
     print("chain of cliques:", tree.cliques)
     print("local equality on clique 1: x1 + x2 = 2\n")
 
-    messages, records = treeqp.upward_pass(tree, data)
+    messages, net = message_passing(tree, data)
+    value = messages.pop(tree.root).c
     for child in sorted(messages, reverse=True):
         msg = messages[child]
         print(f"message from clique {child} to its parent, "
               f"quadratic in separator {msg.sep}:")
         print(f"  Q = {msg.Q.ravel()}, q = {msg.q}, c = {msg.c:.6f}")
 
-    sols = treeqp.downward_pass(tree, records)
-    value = records[tree.root].message.c
     print("\nper-clique minimisers (separator entries copied from parent):")
     for i in tree.post_order():
-        y, v = sols[i]
+        y, v = net.agents[i].get("aff")
         mult = f", multipliers {v}" if v.size else ""
         print(f"  clique {i} {tree.cliques[i]}: y = {y}{mult}")
 
     x = np.empty(4)
-    for i, d in data.items():
-        x[list(d.clique)] = sols[i][0]
+    for i in data:
+        x[list(tree.cliques[i])] = net.agents[i].get("aff")[0]
     x_ref, value_ref = dense_reference(tree, data)
     print(f"\nstitched solution   x = {x}")
     print(f"dense KKT solution  x = {x_ref}")
@@ -96,7 +117,7 @@ def main():
     print(f"max difference: {np.abs(x - x_ref).max():.2e}")
 
     n = 4
-    resid = treeqp.block_ldl_check(tree, records, data, n)
+    resid = oracle.block_ldl_check(tree, data, messages, n)
     print(f"\nblock factorization reconstruction residual: {resid:.2e}")
 
 

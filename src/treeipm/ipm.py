@@ -164,11 +164,13 @@ class ConvergenceTrace:
 
 @dataclass
 class CliqueLocal:
-    """One agent's slice of the problem: its layout and equality block."""
+    """One agent's slice of the problem: its layout and equality block, and
+    once the block is final, its :func:`treeqp.equality_parts` as ``eq``."""
 
     lay: model.CliqueLayout
     eq_A: np.ndarray
     eq_b: np.ndarray
+    eq: tuple = ()
 
 
 @dataclass
@@ -196,10 +198,8 @@ def prepare(
     keeps the rows it can pin down over its eliminated variables and
     pushes the rest to its parent over the separator.  The feasible set of
     the stacked system is preserved; an inconsistent system raises at the
-    root.  Each reduced block's rank over the eliminated variables is then
-    checked once, in pass order.  Each agent keeps its KKT piece as
-    ``qp``, with equality parts built here, and the cliques are grouped by
-    :func:`model.shape_groups` for the local kernels.
+    root.  :func:`group_cliques` then checks each reduced block once and
+    groups the cliques for the local kernels and the passes.
     """
     p.ensure_valid()
     if tree is None:
@@ -234,6 +234,21 @@ def prepare(
         return out
 
     net.run_up("eq-constraint-push", pre_up)
+    groups = group_cliques(net, locs)
+    local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
+    a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
+    return SolverSetup(p, tree, a, locs, groups, net)
+
+
+def group_cliques(net: netsim.Network, locs: Mapping[int, CliqueLocal]) -> list[model.ShapeGroup]:
+    """Check each clique's final equality block for rank, in pass order, and
+    set ``net``'s groups by :func:`model.shape_groups`, each with a zero
+    ``kkt = (H, r, beta)`` field; each agent keeps its ``loc`` with ``eq``.
+
+    Every tree QP runs from here: write each clique's piece into its rows
+    of ``kkt``, then run the ``qp-message`` pass with :func:`_dir_up` and
+    the ``separator-solution`` pass with :func:`_dir_down`.
+    """
     for level in reversed(net.levels):
         for i in level:
             treeqp.check_equality_rank(locs[i].eq_A[:, locs[i].lay.zpos], i)
@@ -241,30 +256,30 @@ def prepare(
     net.set_groups(groups)
     for grp, members in zip(groups, net.groups):
         B, rows, d = grp.eq_A.shape
-        H, r, beta = np.zeros((B, d, d)), np.zeros((B, d)), np.zeros((B, rows))
-        members.put("kkt", (H, r, beta))
-        for b, i in enumerate(grp.members):
-            loc = locs[i]
-            data = treeqp.CliqueQpData(loc.lay.clique, H[b], r[b], loc.eq_A, beta[b])
-            data.eq = treeqp.equality_parts(loc.lay, loc.eq_A)
-            net.agents[i].put("qp", data)
-    local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
-    a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
-    return SolverSetup(p, tree, a, locs, groups, net)
+        members.put("kkt", (np.zeros((B, d, d)), np.zeros((B, d)), np.zeros((B, rows))))
+    for i, loc in locs.items():
+        loc.eq = treeqp.equality_parts(loc.lay, loc.eq_A)
+        net.agents[i].put("loc", loc)
+    return groups
+
+
+def finite_vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as floats, checked to be a vector of ``size`` finite entries."""
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (size,) or not np.isfinite(vec).all():
+        raise ProblemFormatError(f"{name} must have shape ({size},) and finite entries")
+    return vec
 
 
 def start_vector(
     given: Mapping[int, np.ndarray] | None, key: int, size: int, name: str
 ) -> np.ndarray:
-    """``given[key]`` checked to have ``size`` finite entries; all ones if none given."""
+    """A copy of ``given[key]``, a :func:`finite_vector`; all ones if none given."""
     if given is None:
         return np.ones(size)
     if key not in given:
         raise ProblemFormatError(f"{name} has no entry for {key}")
-    vec = np.asarray(given[key], dtype=float)
-    if vec.shape != (size,) or not np.isfinite(vec).all():
-        raise ProblemFormatError(f"{name}[{key}] must have shape ({size},) and finite entries")
-    return vec.copy()
+    return finite_vector(given[key], size, f"{name}[{key}]").copy()
 
 
 def start(
@@ -287,9 +302,7 @@ def start(
         raise NotStrictlyFeasibleError(
             "a strictly feasible x0 is required; obtain one via phase_one"
         )
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (p.n,) or not np.isfinite(x0).all():
-        raise ProblemFormatError(f"x0 must have shape ({p.n},) and finite entries")
+    x0 = finite_vector(x0, p.n, "x0")
     lam = {}
     for k, sp in enumerate(p.subproblems):
         lam[k] = start_vector(lam0, k, sp.m, "lam0")
@@ -364,8 +377,8 @@ def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _qp_kernel(m: netsim.Members) -> None:
     """Each clique's barrier KKT piece for the affine (uncentered) step,
-    written over the group's ``kkt = (H, r, beta)``, which the members'
-    ``qp`` view; the point passed the start check or the acceptance test."""
+    written over the group's ``kkt = (H, r, beta)``; the point passed the
+    start check or the acceptance test."""
     grp = m.group
     X, V = m.get("x"), m.get("v")
     H, R, BETA = m.get("kkt")
@@ -558,13 +571,14 @@ def _dir_up(unit: netsim.Members, inboxes: list) -> list:
     """Each member eliminates its clique; the pivot solves are kept stacked."""
     msgs, sols = [], []
     for env, inbox in zip(unit.envs, inboxes):
-        msg, rec = treeqp.eliminate(
-            env.get("loc").lay, env.get("qp"), [(e.src, e.payload) for e in inbox]
+        loc = env.get("loc")
+        msg, sol, factor = treeqp.eliminate(
+            loc.lay, *env.get("kkt"), loc.eq, [(e.src, e.payload) for e in inbox]
         )
-        env.put("factor", rec.factor)
+        env.put("factor", factor)
         env.count_factorization()
         msgs.append(msg)
-        sols.append(rec.sol)
+        sols.append(sol)
     unit.put("solT", treeqp.stack_solutions(sols))
     return msgs
 
@@ -969,13 +983,13 @@ def solve_auto(
 ) -> list[ComponentRun]:
     """Split into coupling components, find starts, and solve each.
 
-    A given ``x0`` is used where strictly feasible; otherwise phase one
-    supplies the start for that component.
+    A given ``x0``, a :func:`finite_vector`, is used where strictly
+    feasible; otherwise phase one supplies the start for that component.
     """
     params = params or SolverParams()
     comps = split_components(p)
-    if x0 is not None and np.shape(x0) != (p.n,):
-        raise ProblemFormatError(f"x0 must have shape ({p.n},)")
+    if x0 is not None:
+        x0 = finite_vector(x0, p.n, "x0")
     runs: list[ComponentRun] = []
     for comp in comps:
         start, info = component_start(comp, x0, params)

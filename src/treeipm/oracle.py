@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from treeipm import chordal, ipm, model, treeqp
 from treeipm.errors import (
     EliminationError,
     LineSearchStallError,
     NotStrictlyFeasibleError,
-    ProblemFormatError,
 )
 from treeipm.ipm import (
     ALPHA_STALL,
@@ -354,9 +354,7 @@ def centralized_ipm(
     p.ensure_valid()
     if x0 is None:
         raise NotStrictlyFeasibleError("x0 is required")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (p.n,) or not np.isfinite(x).all():
-        raise ProblemFormatError(f"x0 must have shape ({p.n},) and finite entries")
+    x = ipm.finite_vector(x0, p.n, "x0").copy()
     worst = p.max_inequality(x)
     if worst >= 0:
         raise NotStrictlyFeasibleError(
@@ -457,10 +455,11 @@ def parametric_min_oracle(
 
 def subtree_message_oracle(
     tree: chordal.CliqueTree,
-    data: Mapping[int, treeqp.CliqueQpData],
+    data: Mapping[int, Sequence[np.ndarray]],
     child: int,
-) -> treeqp.QuadraticMessage:
-    """Message a clique would send its parent, computed in one shot.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(Q, q, c)`` of the message a clique would send its parent, computed
+    in one shot; ``data[i]`` is clique ``i``'s ``(H, r, A, beta)``.
 
     Assembles the whole subtree's quadratic and equality rows over the
     union of its variables and minimises out everything but the separator.
@@ -480,23 +479,85 @@ def subtree_message_oracle(
     dim = len(varset)
     Q = np.zeros((dim, dim))
     q = np.zeros(dim)
-    c = 0.0
     blocks_A = []
     blocks_b = []
     for i in members:
-        d = data[i]
-        cols = [vmap[v] for v in d.clique]
-        Q[np.ix_(cols, cols)] += d.H
-        q[cols] += d.r
-        c += d.c
-        if d.A.shape[0]:
-            block = np.zeros((d.A.shape[0], dim))
-            block[:, cols] = d.A
+        H, r, A, beta = data[i]
+        cols = [vmap[v] for v in tree.cliques[i]]
+        Q[np.ix_(cols, cols)] += H
+        q[cols] += r
+        if A.shape[0]:
+            block = np.zeros((A.shape[0], dim))
+            block[:, cols] = A
             blocks_A.append(block)
-            blocks_b.append(d.beta)
+            blocks_b.append(beta)
     A = np.vstack(blocks_A) if blocks_A else np.zeros((0, dim))
     b = np.concatenate(blocks_b) if blocks_b else np.zeros(0)
-    sep = tree.separator(child, par)
-    keep = [vmap[v] for v in sep]
-    Qr, qr, cr = parametric_min_oracle(Q, q, c, A, b, keep)
-    return treeqp.QuadraticMessage(sep, Qr, qr, cr)
+    keep = [vmap[v] for v in tree.separator(child, par)]
+    return parametric_min_oracle(Q, q, 0.0, A, b, keep)
+
+
+def block_ldl_check(
+    tree: chordal.CliqueTree,
+    data: Mapping[int, Sequence[np.ndarray]],
+    messages: Mapping[int, treeqp.QuadraticMessage],
+    n: int,
+) -> float:
+    """Consistency check: message passing equals a permuted block LDL'.
+
+    ``data[i]`` is clique ``i``'s ``(H, r, A, beta)`` and ``messages[c]``
+    the message child ``c`` sent.  Each clique's pivot block is rebuilt
+    from its ``H`` and ``A`` with its children's messages folded in, in
+    child order, as :func:`treeqp.eliminate` builds it.  Assembles the
+    full KKT matrix of the tree QP, permutes it into per-clique blocks
+    (private variables then local multipliers, in elimination order) and
+    runs block Gaussian elimination with those pivot blocks.  Returns the
+    Frobenius mismatch between the eliminated matrix and the block
+    diagonal of the pivots, relative to the KKT matrix norm.
+    """
+    order = tree.post_order()
+    # per clique, in elimination order: its private variables, then its rows
+    col_of_var: dict[int, int] = {}
+    blocks, pivots, size = {}, {}, 0
+    for i in order:
+        lay, (H, _, A, _) = model.clique_layout(tree, i), data[i]
+        if set(lay.elim) & col_of_var.keys():
+            raise EliminationError("private variable sets are not disjoint")
+        col_of_var.update(zip(lay.elim, range(size, size + len(lay.elim))))
+        blocks[i] = np.arange(size, size + len(lay.elim) + len(A))
+        size += len(blocks[i])
+        H = H.copy()
+        for c in tree.children[i]:
+            H[np.ix_(lay.child_pos[c], lay.child_pos[c])] += messages[c].Q
+        _, pivots[i], _ = treeqp.equality_parts(lay, A)
+        pivots[i][: len(lay.zpos), : len(lay.zpos)] = H[np.ix_(lay.zpos, lay.zpos)]
+    if len(col_of_var) != n:
+        raise EliminationError("private variable sets do not cover all variables")
+
+    kkt = np.zeros((size, size))
+    for i in order:
+        H, _, A, _ = data[i]
+        cols = [col_of_var[v] for v in tree.cliques[i]]
+        rows = blocks[i][len(blocks[i]) - len(A) :]
+        kkt[np.ix_(cols, cols)] += H
+        kkt[np.ix_(rows, cols)] += A
+        kkt[np.ix_(cols, rows)] += A.T
+
+    work = kkt.copy()
+    done = np.zeros(size, dtype=bool)
+    block_diag = np.zeros_like(kkt)
+    for i in order:
+        idx = blocks[i]
+        done[idx] = True
+        rest = np.flatnonzero(~done)
+        if idx.size and rest.size:
+            lower = work[np.ix_(rest, idx)]
+            upper = work[np.ix_(idx, rest)]
+            work[np.ix_(rest, rest)] -= lower @ scipy.linalg.solve(
+                pivots[i], upper, assume_a="sym"
+            )
+            work[np.ix_(rest, idx)] = 0.0
+            work[np.ix_(idx, rest)] = 0.0
+        block_diag[np.ix_(idx, idx)] = pivots[i]
+    kkt_norm = float(np.linalg.norm(kkt))
+    return float(np.linalg.norm(work - block_diag) / (kkt_norm if kkt_norm > 0 else 1.0))

@@ -1,15 +1,19 @@
-"""Quadratic message passing over a rooted clique tree.
+"""Per-clique kernels of quadratic message passing over a rooted clique tree.
 
 Each clique holds an equality-constrained quadratic piece
 
-    min 0.5 d' H d + r' d + c   subject to   A d = beta
+    min 0.5 d' H d + r' d   subject to   A d = beta
 
-over its variables.  The upward pass eliminates, per clique, the variables
-absent from the parent together with the local multipliers, and sends the
-parent the resulting parametric minimum: a quadratic in the separator
-variables.  The downward pass recovers the minimiser by back-substitution.
-The whole procedure is a block LDL' factorization of the assembled KKT
-matrix with a fixed, tree-structured pivot order.
+over its variables.  On the upward pass each clique folds in its
+children's messages and, with :func:`eliminate`, eliminates the variables
+absent from its parent together with the local multipliers; it sends the
+parent the resulting parametric minimum, a quadratic in the separator
+variables.  On the downward pass :func:`recover_clique` recovers the
+minimiser by back-substitution.  The whole procedure is a block LDL'
+factorization of the assembled KKT matrix with a fixed, tree-structured
+pivot order.  The passes themselves are the solver's ``qp-message`` and
+``separator-solution`` handlers (:mod:`treeipm.ipm`), run on the simulated
+network; :func:`treeipm.oracle.block_ldl_check` checks them densely.
 
 Each clique keeps the factors of its pivot block, so a further system with
 the same matrix and new linear terms needs no factorization: an upward
@@ -23,16 +27,15 @@ built once per tree; the equality rows' rank is checked once per clique by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
-from treeipm.chordal import CliqueTree, IndexSet
+from treeipm.chordal import IndexSet
 from treeipm.errors import EliminationError
-from treeipm.model import CliqueLayout, clique_layout
+from treeipm.model import CliqueLayout
 
 EQ_RANK_TOL = 1e-10
 SOLVE_BACKWARD_TOL = 1e-8
@@ -66,62 +69,14 @@ def equality_parts(lay: CliqueLayout, A: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @dataclass
-class CliqueQpData:
-    """One clique's quadratic piece, ordered by ascending variable index;
-    ``eq``, if set, is :func:`equality_parts` of ``A``, kept by the caller."""
-
-    clique: IndexSet
-    H: np.ndarray
-    r: np.ndarray
-    A: np.ndarray
-    beta: np.ndarray
-    c: float = 0.0
-    eq: tuple | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        d = len(self.clique)
-        self.H = np.asarray(self.H, dtype=float).reshape(d, d)
-        self.r = np.asarray(self.r, dtype=float).reshape(d)
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, d)
-        self.beta = np.asarray(self.beta, dtype=float).reshape(self.A.shape[0])
-        self.c = float(self.c)
-
-
-@dataclass
 class QuadraticMessage:
-    """Parametric minimum over a separator: ``0.5 y'Qy + q'y + c``."""
+    """Parametric minimum over a separator, ``0.5 y'Qy + q'y + c``: the
+    payload of the ``qp-message`` pass."""
 
     sep: IndexSet
     Q: np.ndarray
     q: np.ndarray
     c: float
-
-    def value(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(0.5 * y @ self.Q @ y + self.q @ y + self.c)
-
-
-@dataclass
-class EliminationRecord:
-    """Back-substitution data kept by one clique after its elimination:
-    ``sol = [H1 h1; H2 h2]`` solves the pivot block ``O`` for the separator
-    columns and the constant column."""
-
-    lay: CliqueLayout
-    sol: np.ndarray
-    O: np.ndarray
-    message: QuadraticMessage
-    factor: tuple[np.ndarray, np.ndarray] | np.ndarray | None
-    """Factors of ``O``: symmetric-indefinite ``(ldu, ipiv)``, or the
-    pseudo-inverse when symmetric pivoting failed the backward-error check;
-    ``None`` for an empty block."""
-
-    sep = property(lambda self: self.lay.sep)
-    elim = property(lambda self: self.lay.elim)
-    H1 = property(lambda self: self.sol[: len(self.lay.zpos), :-1])
-    H2 = property(lambda self: self.sol[len(self.lay.zpos) :, :-1])
-    h1 = property(lambda self: self.sol[: len(self.lay.zpos), -1])
-    h2 = property(lambda self: self.sol[len(self.lay.zpos) :, -1])
 
 
 def stack_solutions(sols: Sequence[np.ndarray]) -> np.ndarray:
@@ -158,16 +113,25 @@ def check_equality_rank(A_z: np.ndarray, clique_index: int) -> None:
 
 def eliminate(
     lay: CliqueLayout,
-    data: CliqueQpData,
+    H: np.ndarray,
+    r: np.ndarray,
+    beta: np.ndarray,
+    eq: tuple[np.ndarray, ...],
     child_msgs: list[tuple[int, QuadraticMessage]],
-) -> tuple[QuadraticMessage, EliminationRecord]:
-    """Fold child messages into one clique and eliminate its private part.
+) -> tuple[QuadraticMessage, np.ndarray, tuple[np.ndarray, np.ndarray] | np.ndarray | None]:
+    """Fold child messages into one clique's piece ``min 0.5 d'H d + r'd``
+    subject to ``A d = beta`` and eliminate its private part.
 
-    ``child_msgs`` holds ``(child, message)`` pairs.  Returns the message
-    for the parent plus the record needed to recover the local minimiser
-    once the separator values arrive.
+    ``eq`` is :func:`equality_parts` of ``A``; ``child_msgs`` holds
+    ``(child, message)`` pairs.  Returns the message for the parent, the
+    pivot solve ``sol = [H1 h1; H2 h2]`` for the separator columns and the
+    constant column, from which :func:`recover_clique` recovers the local
+    minimiser once the separator values arrive, and the pivot block's
+    factor: symmetric-indefinite ``(ldu, ipiv)``, or the pseudo-inverse
+    when symmetric pivoting failed the backward-error check; ``None`` for
+    an empty block.
     """
-    H, r, c = data.H, data.r, data.c
+    c = 0.0
     if child_msgs:  # the children's terms are added in place
         H = H.copy()
         r = r.copy()
@@ -177,7 +141,7 @@ def eliminate(
         r[lay.child_pos[child]] += msg.q
         c += msg.c
 
-    Ay, O, rhs = data.eq or equality_parts(lay, data.A)
+    Ay, O, rhs = eq
     nz, ny = len(lay.zpos), len(lay.ypos)
     Qzz = H.take(lay.zz)
     Qzy = H.take(lay.zy)
@@ -192,7 +156,7 @@ def eliminate(
         rhs = rhs.copy()
         rhs[:nz, :ny] = -Qzy
         rhs[:nz, ny] = -qz
-        rhs[nz:, ny] = data.beta
+        rhs[nz:, ny] = beta
 
         ldu, ipiv, info = lapack.dsytrf(O)
         factor = (ldu, ipiv)
@@ -235,11 +199,10 @@ def eliminate(
     # and H1'Qzy that large barrier weights in Qzz bring
     Qt = Qyy + Qzy.T @ H1 + Ay.T @ H2
     Qt = 0.5 * (Qt + Qt.T)
-    qt = qy + H1.T @ qz - H2.T @ data.beta
+    qt = qy + H1.T @ qz - H2.T @ beta
     ct = c + 0.5 * h1 @ Qzz @ h1 + qz @ h1
 
-    msg = QuadraticMessage(lay.sep, Qt, qt, float(ct))
-    return msg, EliminationRecord(lay, sol, O, msg, factor)
+    return QuadraticMessage(lay.sep, Qt, qt, float(ct)), sol, factor
 
 
 def eliminate_rhs(
@@ -270,28 +233,6 @@ def eliminate_rhs(
     return r[:, ypos] + solT[:, :-1, :nz] @ qz, rhs
 
 
-def upward_pass(
-    tree: CliqueTree, data: dict[int, CliqueQpData]
-) -> tuple[dict[int, QuadraticMessage], dict[int, EliminationRecord]]:
-    """Eliminate every clique bottom-up.
-
-    Returns the messages keyed by sending clique (one per non-root
-    clique) and the per-clique records.  Child messages fold in ascending
-    child index order.  Each clique's equality rank is checked before it
-    is eliminated.
-    """
-    messages: dict[int, QuadraticMessage] = {}
-    records: dict[int, EliminationRecord] = {}
-    for i in tree.post_order():
-        lay = clique_layout(tree, i)
-        check_equality_rank(data[i].A[:, lay.zpos], i)
-        child_msgs = [(k, messages[k]) for k in tree.children[i]]
-        msg, records[i] = eliminate(lay, data[i], child_msgs)
-        if tree.parent[i] is not None:
-            messages[i] = msg
-    return messages, records
-
-
 def recover_clique(
     zpos: np.ndarray, ypos: np.ndarray, solT: np.ndarray, y: np.ndarray,
     offsets: tuple[np.ndarray, np.ndarray] | None = None,
@@ -308,101 +249,3 @@ def recover_clique(
     dx[:, zpos] = dz + h1
     dx[:, ypos] = y
     return dx, dv + h2
-
-
-def downward_pass(
-    tree: CliqueTree,
-    records: dict[int, EliminationRecord],
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Recover per-clique minimisers and multipliers top-down.
-
-    Separator values are copied from the parent's solution, never
-    recomputed, so shared variables agree bitwise across cliques.
-    """
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in reversed(tree.post_order()):
-        par = tree.parent[i]
-        if par is None:
-            y = np.zeros(0)
-        else:
-            y = out[par][0][records[par].lay.child_pos[i]]
-        lay = records[i].lay
-        dx, dv = recover_clique(lay.zpos, lay.ypos, stack_solutions([records[i].sol]), y[None])
-        out[i] = dx[0], dv[0]
-    return out
-
-
-def block_ldl_check(
-    tree: CliqueTree,
-    records: dict[int, EliminationRecord],
-    data: dict[int, CliqueQpData],
-    n: int,
-) -> float:
-    """Consistency check: message passing equals a permuted block LDL'.
-
-    Assembles the full KKT matrix of the tree QP, permutes it into
-    per-clique blocks (private variables then local multipliers, in
-    elimination order) and runs block Gaussian elimination using the
-    recorded pivot blocks.  Returns the Frobenius mismatch between the
-    eliminated matrix and the block diagonal of the recorded pivots,
-    relative to the KKT matrix norm.
-    """
-    order = tree.post_order()
-    p_rows = {i: data[i].A.shape[0] for i in order}
-    n_rows = n + sum(p_rows.values())
-
-    # permutation: for every clique, its private variables then its rows
-    col_of_var = {}
-    block_idx: dict[int, np.ndarray] = {}
-    offset = 0
-    row_offset = {}
-    seen_vars: set[int] = set()
-    for i in order:
-        rec = records[i]
-        if set(rec.elim) & seen_vars:
-            raise EliminationError("private variable sets are not disjoint")
-        seen_vars.update(rec.elim)
-        idx = list(range(offset, offset + len(rec.elim) + p_rows[i]))
-        for v, pos in zip(rec.elim, idx):
-            col_of_var[v] = pos
-        row_offset[i] = offset + len(rec.elim)
-        block_idx[i] = np.array(idx, dtype=int)
-        offset += len(idx)
-    if len(seen_vars) != n:
-        raise EliminationError("private variable sets do not cover all variables")
-
-    kkt = np.zeros((n_rows, n_rows))
-    for i in order:
-        d = data[i]
-        cols = np.array([col_of_var[v] for v in d.clique], dtype=int)
-        kkt[np.ix_(cols, cols)] += d.H
-        if p_rows[i]:
-            rows = np.arange(row_offset[i], row_offset[i] + p_rows[i])
-            kkt[np.ix_(rows, cols)] += d.A
-            kkt[np.ix_(cols, rows)] += d.A.T
-    kkt_norm = float(np.linalg.norm(kkt))
-
-    work = kkt.copy()
-    eliminated: list[int] = []
-    for i in order:
-        idx = block_idx[i]
-        rest = np.setdiff1d(
-            np.arange(n_rows), np.concatenate([block_idx[k] for k in eliminated + [i]])
-        )
-        pivot = records[i].O
-        if idx.size and rest.size:
-            lower = work[np.ix_(rest, idx)]
-            upper = work[np.ix_(idx, rest)]
-            work[np.ix_(rest, rest)] -= lower @ scipy.linalg.solve(
-                pivot, upper, assume_a="sym"
-            )
-            work[np.ix_(rest, idx)] = 0.0
-            work[np.ix_(idx, rest)] = 0.0
-        eliminated.append(i)
-
-    block_diag = np.zeros_like(kkt)
-    for i in order:
-        idx = block_idx[i]
-        block_diag[np.ix_(idx, idx)] = records[i].O
-    denom = kkt_norm if kkt_norm > 0 else 1.0
-    return float(np.linalg.norm(work - block_diag) / denom)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from treeipm import chordal, model
+from treeipm import chordal, ipm, model, netsim
 
 # acceptance criteria register their one-line verdicts here; a terminal
 # summary hook prints them even when individual criteria fail
@@ -211,12 +211,12 @@ def make_rooted_tree(cliques: list[tuple[int, ...]], parents: list[int]) -> chor
 def random_tree_qp(rng: np.random.Generator, q_max: int = 10):
     """Random rooted clique tree with per-clique PD quadratic data.
 
-    Returns (tree, data) suitable for treeqp.upward_pass; the implied
-    global KKT matrix is nonsingular by construction (PD Hessian blocks,
-    full-row-rank local equalities over eliminated variables).
+    Returns ``(tree, data, consts)``: ``data[i]`` is clique ``i``'s
+    ``(H, r, A, beta)`` for :func:`tree_qp_passes` and ``consts[i]`` the
+    constant its objective adds.  The implied global KKT matrix is
+    nonsingular by construction (PD Hessian blocks, full-row-rank local
+    equalities over eliminated variables).
     """
-    from treeipm import treeqp
-
     q = int(rng.integers(2, q_max + 1))
     parents = [-1] + [int(rng.integers(0, i)) for i in range(1, q)]
     cliques: list[list[int]] = []
@@ -234,7 +234,7 @@ def random_tree_qp(rng: np.random.Generator, q_max: int = 10):
             nxt += len(fresh)
             cliques.append(sorted(shared + fresh))
     tree = make_rooted_tree([tuple(c) for c in cliques], parents)
-    data = {}
+    data, consts = {}, {}
     for i, c in enumerate(tree.cliques):
         d = len(c)
         m_loc = rng.normal(size=(d, d))
@@ -245,8 +245,41 @@ def random_tree_qp(rng: np.random.Generator, q_max: int = 10):
         rows = int(rng.integers(0, n_elim + 1)) if n_elim else 0
         A = rng.normal(size=(rows, d)) if rows else np.zeros((0, d))
         beta = rng.normal(size=rows) if rows else np.zeros(0)
-        data[i] = treeqp.CliqueQpData(c, H, r, A, beta, float(rng.normal()))
-    return tree, data
+        data[i] = (H, r, A, beta)
+        consts[i] = float(rng.normal())
+    return tree, data, consts
+
+
+def tree_qp_passes(tree: chordal.CliqueTree, data: dict):
+    """Solve the tree QP ``data`` (clique ``i``'s ``(H, r, A, beta)``) with
+    the solver's own passes: :func:`ipm.group_cliques` on a network of
+    ``tree``, each piece written into its clique's ``kkt`` rows, then the
+    ``qp-message`` pass with :func:`ipm._dir_up` and the
+    ``separator-solution`` pass with :func:`ipm._dir_down`.
+
+    Returns the network, whose agents keep ``aff = (dx, dv)``, ``factor``
+    and their row of ``solT``, and every clique's message, the root's
+    (over no separator, its constant the optimal value) included.
+    """
+    net = netsim.Network(tree, record_log=False)
+    locs = {
+        i: ipm.CliqueLocal(model.clique_layout(tree, i), A, beta)
+        for i, (_, _, A, beta) in sorted(data.items())
+    }
+    for grp, members in zip(ipm.group_cliques(net, locs), net.groups):
+        H, r, beta = members.get("kkt")
+        for b, i in enumerate(grp.members):
+            H[b], r[b], _, beta[b] = data[i]
+    messages = {}
+
+    def up(unit, inboxes):
+        msgs = ipm._dir_up(unit, inboxes)
+        messages.update(zip(unit.ids, msgs))
+        return msgs
+
+    net.run_up("qp-message", up)
+    net.run_down("separator-solution", ipm._dir_down)
+    return net, messages
 
 
 @pytest.fixture

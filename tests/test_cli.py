@@ -253,7 +253,7 @@ def test_non_finite_input_is_malformed(tmp_path, flow_files, capsys, where, valu
         assert cli.main([str(a) for a in ("solve", *args, "--out", tmp_path)]) == 4
         assert "finite" in capsys.readouterr().err
     p = model.load_problem(problem)
-    for solver in (ipm.solve, oracle.centralized_ipm):
+    for solver in (ipm.solve, oracle.centralized_ipm, ipm.solve_auto):
         with pytest.raises(ProblemFormatError, match="finite"):
             solver(p, x0=bad_x0)
     lam0 = {k: np.full(sp.m, value) for k, sp in enumerate(p.subproblems)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -537,6 +538,28 @@ def test_phase_one_units_give_each_member_what_it_gets_alone(monkeypatch):
     except (NotStrictlyFeasibleError, InfeasibleProblemError):
         pass
     assert len(sizes) >= 2 and sizes[0] > 1
+
+
+def test_residual_units_report_each_members_own_negative_flag():
+    # candidates whose signs alternate row by row, every variable watched:
+    # a unit of leaves then holds members that disagree on ``negative``
+    p, x0 = model.gen_flow(model.balanced_tree(3, 2), seed=1)
+    setup = ipm.prepare(p)
+    ipm.start(setup, x0)
+    for members in setup.network.groups:
+        X = members.get("x")
+        sign = np.where(np.arange(len(X)) % 2, 1.0, -1.0)[:, None]
+        members.put("cand", (sign * (np.abs(X) + 1.0),))
+        members.put("watch", np.ones(X.shape, dtype=bool))
+    probed, flags = probe_handler(functools.partial(ipm._residual_up, True)), []
+
+    def run(unit, inboxes):
+        out = probed(unit, inboxes)
+        flags.append({o["negative"] for o in out})
+        return out
+
+    setup.network.run_up("residual-partial", run)
+    assert {True, False} in flags
 
 
 def rescaled(p: model.CoupledProblem, shift: int = 0) -> list[model.Subproblem]:

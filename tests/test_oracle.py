@@ -8,7 +8,7 @@ import pytest
 from treeipm import chordal, ipm, model, oracle, treeqp
 from treeipm.errors import EliminationError, NotStrictlyFeasibleError
 
-from conftest import interior_duals, random_loose_qp, random_tree_qp
+from conftest import interior_duals, random_loose_qp, random_tree_qp, tree_qp_passes
 
 
 def test_dual_residual_is_lagrangian_gradient(rng):
@@ -255,20 +255,21 @@ def test_parametric_min_oracle_quadratic_identity(rng):
         assert np.isclose(direct, reduced, atol=1e-9)
 
 
-def test_subtree_message_oracle_matches_upward_pass(rng):
+def test_subtree_message_oracle_matches_qp_message_pass(rng):
     for _ in range(10):
-        tree, data = random_tree_qp(rng)
-        messages, _ = treeqp.upward_pass(tree, data)
+        tree, data, _ = random_tree_qp(rng)
+        _, messages = tree_qp_passes(tree, data)
         for child, msg in messages.items():
-            ref = oracle.subtree_message_oracle(tree, data, child)
-            assert ref.sep == msg.sep
-            scale = 1.0 + np.abs(ref.Q).max()
-            assert np.abs(msg.Q - ref.Q).max() <= 1e-9 * scale
-            assert np.abs(msg.q - ref.q).max() <= 1e-9 * (1 + np.abs(ref.q).max())
-            assert abs(msg.c - ref.c) <= 1e-9 * (1 + abs(ref.c))
+            if child == tree.root:
+                continue
+            Q, q, c = oracle.subtree_message_oracle(tree, data, child)
+            assert msg.sep == tree.separator(child, tree.parent[child])
+            assert np.abs(msg.Q - Q).max() <= 1e-9 * (1 + np.abs(Q).max())
+            assert np.abs(msg.q - q).max() <= 1e-9 * (1 + np.abs(q).max())
+            assert abs(msg.c - c) <= 1e-9 * (1 + abs(c))
 
 
 def test_subtree_message_oracle_rejects_root(rng):
-    tree, data = random_tree_qp(rng)
+    tree, data, _ = random_tree_qp(rng)
     with pytest.raises(ValueError):
         oracle.subtree_message_oracle(tree, data, tree.root)
