@@ -1,7 +1,7 @@
 """Audit what the agents exchanged and prove they exchanged nothing else.
 
-The simulation harness logs every envelope and every store access during
-a solve.  Afterwards we can count communication rounds against the
+The simulation harness logs every payload and every read of agent state
+during a solve.  Afterwards we can count communication rounds against the
 closed-form schedule and audit that no agent ever read another agent's
 private state.  A deliberately injected cross-read shows the audit
 catching a violation.
@@ -46,7 +46,7 @@ def main():
     print(f"\nprivacy audit over {len(net.events)} logged events: "
           f"{'clean' if audit.ok else 'VIOLATIONS'}")
 
-    # now reach into agent 0's store from agent 2, on purpose
+    # now reach into agent 0's rows from agent 2, on purpose
     net._activate(2, lambda env: net.agents[0].get("x"))
     audit = netsim.audit_privacy(net)
     print(f"after an injected cross-read: ok={audit.ok}, "

@@ -85,18 +85,6 @@ def sparsity_graph(index_sets: Sequence[Iterable[int]], n: int) -> UndirectedGra
     return UndirectedGraph(n, frozenset(edges))
 
 
-def coupling_graph(index_sets: Sequence[Iterable[int]]) -> UndirectedGraph:
-    """Graph on agents: an edge joins two scopes with a common variable."""
-    scopes = [frozenset(index_set(raw)) for raw in index_sets]
-    q = len(scopes)
-    edges = set()
-    for i in range(q):
-        for j in range(i + 1, q):
-            if scopes[i] & scopes[j]:
-                edges.add((i, j))
-    return UndirectedGraph(q, frozenset(edges))
-
-
 def connected_components(g: UndirectedGraph) -> list[list[int]]:
     adj = g.adjacency()
     seen = [False] * g.n

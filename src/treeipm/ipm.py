@@ -88,10 +88,10 @@ class SolverParams:
             raise ProblemFormatError(
                 f"gamma must lie in [0.01, 0.1], got {self.gamma}"
             )
-        if self.eps <= 0 or self.eps_feas <= 0:
-            raise ProblemFormatError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ProblemFormatError("max_iters must be at least 1")
+        if not all(math.isfinite(tol) and tol > 0 for tol in (self.eps, self.eps_feas)):
+            raise ProblemFormatError("tolerances must be finite and positive")
+        if not model.is_integer(self.max_iters) or self.max_iters < 1:
+            raise ProblemFormatError(f"max_iters must be an integer >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -163,23 +163,11 @@ class ConvergenceTrace:
 
 
 @dataclass
-class CliqueLocal:
-    """One agent's slice of the problem: its layout and equality block, and
-    once the block is final, its :func:`treeqp.equality_parts` as ``eq``."""
-
-    lay: model.CliqueLayout
-    eq_A: np.ndarray
-    eq_b: np.ndarray
-    eq: tuple = ()
-
-
-@dataclass
 class SolverSetup:
     problem: CoupledProblem
     tree: chordal.CliqueTree
     assignment: Assignment
-    locals: dict[int, CliqueLocal]
-    groups: list[model.ShapeGroup]
+    layouts: list[model.CliqueLayout]
     network: netsim.Network
 
 
@@ -191,59 +179,62 @@ def prepare(
     """Tree, network, agent assignment, layouts, reduced equality blocks
     and shape groups.
 
-    Each agent's :class:`CliqueLocal` is built once and stored as ``loc``;
-    its :func:`model.clique_layout` holds every index the passes read.
-    The blocks come from the ``eq-constraint-push`` pass, the network's
-    first: each agent stacks its rows with those its children pushed up,
-    keeps the rows it can pin down over its eliminated variables and
-    pushes the rest to its parent over the separator.  The feasible set of
-    the stacked system is preserved; an inconsistent system raises at the
-    root.  :func:`group_cliques` then checks each reduced block once and
-    groups the cliques for the local kernels and the passes.
+    Each clique's :func:`model.clique_layout` is built once and holds every
+    index the passes read; the shape groups carry them.  The equality
+    blocks come from the ``eq-constraint-push`` pass, the network's
+    first: each agent stacks its rows of ``assignment.local_eq`` with
+    those its children pushed up, keeps the rows it can pin down over its
+    eliminated variables and pushes the rest to its parent over the
+    separator.  The feasible set of the stacked system is preserved; an
+    inconsistent system raises at the root.  :func:`group_cliques` then
+    checks each reduced block once and groups the cliques for the local
+    kernels and the passes.
     """
     p.ensure_valid()
     if tree is None:
         _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     net = netsim.Network(tree, record_log=record_log)
-    raw = model.assign(p, tree)
-    locs: dict[int, CliqueLocal] = {}
-    for i in range(tree.q):
-        agents = [(k, p.subproblems[k]) for k in raw.phi[i]]
-        locs[i] = CliqueLocal(model.clique_layout(tree, i, agents), *raw.local_eq[i])
-        net.agents[i].put("loc", locs[i])
+    a = model.assign(p, tree)
+    layouts = [
+        model.clique_layout(tree, i, [(k, p.subproblems[k]) for k in a.phi[i]])
+        for i in range(tree.q)
+    ]
 
-    def pre_up(unit: netsim.Members, inboxes: list) -> list:
+    def eq_push_up(unit: netsim.Members, inboxes: list) -> list:
         out = []
-        for env, inbox in zip(unit.envs, inboxes):
-            loc = env.get("loc")
-            blocks_A = [loc.eq_A]
-            blocks_b = [loc.eq_b]
-            for e in inbox:
-                block = np.zeros((e.payload["A"].shape[0], len(loc.lay.clique)))
-                block[:, loc.lay.child_pos[e.src]] = e.payload["A"]
+        for env, kids, inbox in zip(unit.envs, unit.kids, inboxes):
+            lay = layouts[env.id]
+            A, b = a.local_eq[env.id]
+            blocks_A, blocks_b = [A], [b]
+            for c, push in zip(kids, inbox):
+                block = np.zeros((push["A"].shape[0], len(lay.clique)))
+                block[:, lay.child_pos[c]] = push["A"]
                 blocks_A.append(block)
-                blocks_b.append(e.payload["b"])
-            loc.eq_A, loc.eq_b, push_A, push_b = model.reduce_equality_block(
+                blocks_b.append(push["b"])
+            A, b, push_A, push_b = model.reduce_equality_block(
                 np.vstack(blocks_A),
                 np.concatenate(blocks_b),
-                loc.lay.zpos,
-                loc.lay.ypos,
+                lay.zpos,
+                lay.ypos,
                 is_root=env.parent is None,
             )
+            a.local_eq[env.id] = (A, b)
             out.append(None if env.parent is None else {"A": push_A, "b": push_b})
         return out
 
-    net.run_up("eq-constraint-push", pre_up)
-    groups = group_cliques(net, locs)
-    local_eq = {i: (loc.eq_A, loc.eq_b) for i, loc in locs.items()}
-    a = Assignment({i: list(m) for i, m in raw.phi.items()}, local_eq)
-    return SolverSetup(p, tree, a, locs, groups, net)
+    net.run_up("eq-constraint-push", eq_push_up)
+    group_cliques(net, layouts, a.local_eq)
+    return SolverSetup(p, tree, a, layouts, net)
 
 
-def group_cliques(net: netsim.Network, locs: Mapping[int, CliqueLocal]) -> list[model.ShapeGroup]:
-    """Check each clique's final equality block for rank, in pass order, and
-    set ``net``'s groups by :func:`model.shape_groups`, each with a zero
-    ``kkt = (H, r, beta)`` field; each agent keeps its ``loc`` with ``eq``.
+def group_cliques(
+    net: netsim.Network, layouts: Sequence[model.CliqueLayout], local_eq: Mapping
+) -> None:
+    """Check each clique's final equality block ``local_eq[i] = (A, b)`` for
+    rank, in pass order, and set ``net``'s groups by
+    :func:`model.shape_groups` of the clique layouts ``layouts[i]``, with
+    each member's :func:`treeqp.equality_parts` and a zero
+    ``kkt = (H, r, beta)`` field.
 
     Every tree QP runs from here: write each clique's piece into its rows
     of ``kkt``, then run the ``qp-message`` pass with :func:`_dir_up` and
@@ -251,16 +242,15 @@ def group_cliques(net: netsim.Network, locs: Mapping[int, CliqueLocal]) -> list[
     """
     for level in reversed(net.levels):
         for i in level:
-            treeqp.check_equality_rank(locs[i].eq_A[:, locs[i].lay.zpos], i)
-    groups = model.shape_groups((i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in locs.items())
+            treeqp.check_equality_rank(local_eq[i][0][:, layouts[i].zpos], i)
+    groups = model.shape_groups(
+        (i, lay, *local_eq[i], treeqp.equality_parts(lay, local_eq[i][0]))
+        for i, lay in enumerate(layouts)
+    )
     net.set_groups(groups)
-    for grp, members in zip(groups, net.groups):
-        B, rows, d = grp.eq_A.shape
+    for members in net.groups:
+        B, rows, d = members.group.eq_A.shape
         members.put("kkt", (np.zeros((B, d, d)), np.zeros((B, d)), np.zeros((B, rows))))
-    for i, loc in locs.items():
-        loc.eq = treeqp.equality_parts(loc.lay, loc.eq_A)
-        net.agents[i].put("loc", loc)
-    return groups
 
 
 def finite_vector(value, size: int, name: str) -> np.ndarray:
@@ -309,9 +299,10 @@ def start(
         if sp.m and lam[k].min() <= 0:
             raise ProblemFormatError(f"lam0[{k}] must be positive")
     net = setup.network
-    for grp, members in zip(setup.groups, net.groups):
-        members.put("x", x0[[list(setup.tree.cliques[i]) for i in grp.members]])
-        v = [start_vector(v0, i, grp.eq_b.shape[1], "v0") for i in grp.members]
+    for members in net.groups:
+        grp = members.group
+        members.put("x", x0[[list(setup.tree.cliques[i]) for i in members.ids]])
+        v = [start_vector(v0, i, grp.eq_b.shape[1], "v0") for i in members.ids]
         members.put("v", np.array(v))
         members.put("lam", [np.array([lam[k] for k in ks]) for ks in zip(*grp.keys)])
     worst = p.max_inequality(x0)
@@ -518,16 +509,11 @@ def _candidate_kernel(m: netsim.Members) -> None:
 # sum keeps the order a lone agent's has.
 
 
-def _stacked(envelopes: Sequence[netsim.Envelope], key: str | None = None) -> np.ndarray:
-    """The envelopes' array payloads (or their ``key`` entries) on a member
-    axis; a lone one is viewed, as every payload array is contiguous."""
-    rows = [e.payload if key is None else e.payload[key] for e in envelopes]
+def _stacked(payloads: Sequence, key: str | None = None) -> np.ndarray:
+    """The array payloads (or their ``key`` entries) on a member axis; a
+    lone one is viewed, as every payload array is contiguous."""
+    rows = payloads if key is None else [q[key] for q in payloads]
     return rows[0][None] if len(rows) == 1 else np.array(rows)
-
-
-def _from_parent(unit: netsim.Members, envelopes: list, name: str) -> list:
-    """Each member's payload from its parent, or the root's own ``name``."""
-    return [unit.envs[0].get(name)] if envelopes[0] is None else [e.payload for e in envelopes]
 
 
 def _residual_up(watched: bool, unit: netsim.Members, inboxes: list) -> list[dict]:
@@ -540,8 +526,7 @@ def _residual_up(watched: bool, unit: netsim.Members, inboxes: list) -> list[dic
     refused = {"ok": False, "p": 0.0, "d": 0.0, "push": None, "eta": 0.0}
     ok, W, P, ETA = unit.get("own")
     ok, sums = ok.tolist(), [(0.0, 0.0, 0.0)] * len(ok)
-    for pos, kids in zip(unit.spec.child_pos, zip(*inboxes)):
-        pays = [e.payload for e in kids]
+    for pos, pays in zip(unit.spec.child_pos, zip(*inboxes)):
         ok = [good and q["ok"] for good, q in zip(ok, pays)]
         sums = [(p + q["p"], d + q["d"], eta + q["eta"]) for (p, d, eta), q in zip(sums, pays)]
         W[:, pos] += np.array([q["push"] for q in pays])
@@ -561,31 +546,34 @@ def _residual_up(watched: bool, unit: netsim.Members, inboxes: list) -> list[dic
         out.append({"ok": True, "p": p + own_p, "d": d + own_d, "push": push, "eta": eta})
     if watched:
         neg = np.all((unit.get("cand")[0] < 0) | ~unit.get("watch"), axis=1)
-        for kids in zip(*inboxes):
-            neg &= [e.payload["negative"] for e in kids]
+        for pays in zip(*inboxes):
+            neg &= [q["negative"] for q in pays]
         out = [dict(o, negative=n) for o, n in zip(out, neg.tolist())]
     return out
 
 
 def _dir_up(unit: netsim.Members, inboxes: list) -> list:
-    """Each member eliminates its clique; the pivot solves are kept stacked."""
+    """Each member eliminates its clique; the pivot solves are kept stacked
+    and the factors as an object array, one entry per member."""
+    grp, rows = unit.group, unit.spec.rows
+    H, R, BETA = unit.get("kkt")
     msgs, sols = [], []
-    for env, inbox in zip(unit.envs, inboxes):
-        loc = env.get("loc")
-        msg, sol, factor = treeqp.eliminate(
-            loc.lay, *env.get("kkt"), loc.eq, [(e.src, e.payload) for e in inbox]
-        )
-        env.put("factor", factor)
+    factors = np.empty(len(unit.ids), dtype=object)
+    members = zip(grp.lays[rows], grp.eq[rows], unit.envs, unit.kids, inboxes)
+    for b, (lay, eq, env, kids, inbox) in enumerate(members):
+        kid_msgs = list(zip(kids, inbox))
+        msg, sol, factors[b] = treeqp.eliminate(lay, H[b], R[b], BETA[b], eq, kid_msgs)
         env.count_factorization()
         msgs.append(msg)
         sols.append(sol)
+    unit.put("factor", factors)
     unit.put("solT", treeqp.stack_solutions(sols))
     return msgs
 
 
-def _dir_down(unit: netsim.Members, envelopes: list) -> list:
+def _dir_down(unit: netsim.Members, payloads: list) -> list:
     grp = unit.group
-    Y = np.zeros((1, 0)) if envelopes[0] is None else _stacked(envelopes)
+    Y = np.zeros((1, 0)) if payloads[0] is None else _stacked(payloads)
     aff = treeqp.recover_clique(grp.zpos, grp.ypos, unit.get("solT"), Y)
     unit.put("aff", aff)
     return [aff[0].take(pos, axis=1) for pos in unit.spec.child_pos]
@@ -595,24 +583,26 @@ def _corr_up(unit: netsim.Members, inboxes: list) -> list[dict]:
     grp = unit.group
     amax_own, own_gaps, R, _ = unit.get("pred")
     amax, gap, child_q = [1.0] * len(amax_own), np.zeros((len(amax_own), 4)), []
-    for pos, kids in zip(unit.spec.child_pos, zip(*inboxes)):
-        amax = [min(a, e.payload["alpha"]) for a, e in zip(amax, kids)]
-        gap += _stacked(kids, "gap")
-        child_q.append((pos, _stacked(kids, "msg")))
+    for pos, pays in zip(unit.spec.child_pos, zip(*inboxes)):
+        amax = [min(a, q["alpha"]) for a, q in zip(amax, pays)]
+        gap += _stacked(pays, "gap")
+        child_q.append((pos, _stacked(pays, "msg")))
     amax = [min(a, own) for a, own in zip(amax, amax_own.tolist())]
     for row in own_gaps:
         gap -= row
-    factors = [env.get("factor") for env in unit.envs]
+    factors = unit.get("factor")
     q, corrT = treeqp.eliminate_rhs(grp.zpos, grp.ypos, factors, unit.get("solT"), R, child_q)
     unit.put("corrT", corrT)
     return [{"alpha": a, "gap": g, "msg": m} for a, g, m in zip(amax, gap, q)]
 
 
-def _corr_down(unit: netsim.Members, envelopes: list) -> list:
+def _corr_down(t_root: float, unit: netsim.Members, payloads: list) -> list:
+    """The root's barrier weight ``t_root`` and the corrector's separator
+    solutions go down; each member adds its corrector to ``aff``."""
     grp = unit.group
-    root = envelopes[0] is None
-    t = [unit.envs[0].get("t")] if root else [e.payload["t"] for e in envelopes]
-    Y = np.zeros((1, 0)) if root else _stacked(envelopes, "y")
+    root = payloads[0] is None
+    t = [t_root] if root else [q["t"] for q in payloads]
+    Y = np.zeros((1, 0)) if root else _stacked(payloads, "y")
     # corrector = centering column / t + second-order column
     w = np.array([(0.0 if math.isinf(a) else 1.0 / a, 1.0) for a in t])
     unit.put("w", w)
@@ -629,20 +619,20 @@ def _corr_down(unit: netsim.Members, envelopes: list) -> list:
 
 def _bound_up(scale: float, unit: netsim.Members, inboxes: list) -> list[float]:
     alpha = [scale * bound for bound in unit.get("bound").tolist()]
-    for kids in zip(*inboxes):
-        alpha = [min(a, e.payload) for a, e in zip(alpha, kids)]
+    for pays in zip(*inboxes):
+        alpha = [min(a, q) for a, q in zip(alpha, pays)]
     return alpha
 
 
-def _alpha_down(unit: netsim.Members, envelopes: list) -> list:
-    alpha = _from_parent(unit, envelopes, "alpha")
+def _alpha_down(alpha_root: float, unit: netsim.Members, payloads: list) -> list:
+    alpha = [alpha_root] if payloads[0] is None else payloads
     unit.put("alpha_bar", np.array(alpha))
     return [alpha] * len(unit.spec.child_pos)
 
 
-def _accept_down(unit: netsim.Members, envelopes: list) -> list:
-    """Every member adopts its candidate and passes the stop flag on."""
-    stop = _from_parent(unit, envelopes, "stop")
+def _accept_down(stop_root: bool, unit: netsim.Members, payloads: list) -> list:
+    """Every member adopts its candidate and passes the root's stop flag on."""
+    stop = [stop_root] if payloads[0] is None else payloads
     for name, value in zip(("x", "v", "lam", "at"), unit.get("cand")):
         unit.put(name, value)
     return [stop] * len(unit.spec.child_pos)
@@ -686,12 +676,12 @@ class SolveResult:
     def separator_gap(self) -> float:
         """Largest disagreement of shared variables across tree edges."""
         worst = 0.0
-        locs = self.setup.locals
-        for c, loc in locs.items():
+        lays = self.setup.layouts
+        for c, lay in enumerate(lays):
             par = self.setup.tree.parent[c]
-            if par is not None and loc.lay.sep:
-                a = self.x_clique[c][loc.lay.ypos]
-                b = self.x_clique[par][locs[par].lay.child_pos[c]]
+            if par is not None and lay.sep:
+                a = self.x_clique[c][lay.ypos]
+                b = self.x_clique[par][lays[par].child_pos[c]]
                 worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
@@ -707,9 +697,8 @@ def step(
     ``"negative"`` (see :func:`solve`), else ``None``.
     """
     net = setup.network
-    root = net.agents[setup.tree.root]
     m_total = setup.problem.m_total
-    watched = root.has("watch")
+    watched = net.agents[setup.tree.root].has("watch")
     net.run_local(_qp_kernel)
     net.run_up("qp-message", _dir_up)
     net.run_down("separator-solution", _dir_down)
@@ -719,12 +708,10 @@ def step(
     c0, c1, c2, c3 = pred["gap"].tolist()
     eta_aff = c0 + alpha_aff * (c1 + alpha_aff * (c2 + alpha_aff * c3))
     t = _next_t(c0, eta_aff, m_total)
-    root.put("t", t)
-    net.run_down("corrector-solution", _corr_down)
+    net.run_down("corrector-solution", functools.partial(_corr_down, t))
     net.run_local(_step_kernel)
     alpha = net.run_up("alpha-bound", functools.partial(_bound_up, _step_scale(m_total)))
-    root.put("alpha", alpha)
-    net.run_down("alpha-broadcast", _alpha_down)
+    net.run_down("alpha-broadcast", functools.partial(_alpha_down, alpha))
     backtracks = 0
     while True:
         net.run_local(_candidate_kernel)
@@ -737,14 +724,12 @@ def step(
             raise LineSearchStallError(
                 f"line search stalled at iteration {it} (alpha {alpha:.3e})"
             )
-        root.put("alpha", alpha)
-        net.run_down("alpha-broadcast", _alpha_down)
+        net.run_down("alpha-broadcast", functools.partial(_alpha_down, alpha))
     p_norm, d_norm = math.sqrt(cand["p"]), math.sqrt(cand["d"])
     row = TraceRow(it, p_norm, d_norm, cand["eta"], alpha, backtracks, t, 0, eta_aff)
     negative = watched and cand["negative"]
     status = "converged" if row.converged(params) else "negative" if negative else None
-    root.put("stop", status is not None)
-    net.run_down("stop-broadcast", _accept_down)
+    net.run_down("stop-broadcast", functools.partial(_accept_down, status is not None))
     row.mp_steps_cum = net.mp_steps["solve"]
     return row, cand, status
 
@@ -752,14 +737,14 @@ def step(
 def iterate(setup: SolverSetup) -> tuple[np.ndarray, dict, dict, dict]:
     """The agents' point: ``x`` over all variables, each entry from the clique that
     eliminates it, and views of their rows: ``x``, ``v`` per clique, ``lam`` per subproblem."""
-    agents, locs = setup.network.agents, setup.locals
+    agents, lays = setup.network.agents, setup.layouts
     x_clique = {i: env.get("x") for i, env in agents.items()}
     v = {i: env.get("v") for i, env in agents.items()}
     lam: dict[int, np.ndarray] = {}
     x = np.zeros(setup.problem.n)
     for i, env in agents.items():
         lam.update(zip(setup.assignment.phi[i], env.get("lam")))
-        x[list(locs[i].lay.elim)] = x_clique[i][locs[i].lay.zpos]
+        x[list(lays[i].elim)] = x_clique[i][lays[i].zpos]
     return x, x_clique, v, lam
 
 
@@ -787,7 +772,7 @@ def solve(
         for members in setup.network.groups:
             watch = np.zeros(members.get("x").shape, dtype=bool)
             for b, i in enumerate(members.ids):
-                lay = setup.locals[i].lay
+                lay = setup.layouts[i]
                 watch[b, [t for t, u in zip(lay.zpos, lay.elim) if u in watched]] = True
             members.put("watch", watch)
     trace = ConvergenceTrace()

@@ -43,6 +43,19 @@ def positions(sub: Sequence[int], sup: Sequence[int]) -> np.ndarray:
     return pos
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy one, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integers(values: Iterable, what: str) -> list[int]:
+    """``values`` as ints, each required to be :func:`is_integer`."""
+    items = list(values) if isinstance(values, Iterable) else [values]
+    if not all(map(is_integer, items)):
+        raise ProblemFormatError(f"{what} must list integers, got {values!r}")
+    return [int(v) for v in items]
+
+
 def _check_symmetric(mat: np.ndarray, label: str) -> np.ndarray:
     gap = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
     if gap > SYMMETRY_TOL:
@@ -311,12 +324,6 @@ class Assignment:
     phi: dict[int, list[int]]
     local_eq: dict[int, tuple[np.ndarray, np.ndarray]]
 
-    def clique_of(self, k: int) -> int:
-        for i, members in self.phi.items():
-            if k in members:
-                return i
-        raise ProblemFormatError(f"subproblem {k} is not assigned")
-
 
 def assign(p: CoupledProblem, tree: CliqueTree) -> Assignment:
     """Place every agent on the lowest-indexed clique covering its scope."""
@@ -449,11 +456,14 @@ class Unit(NamedTuple):
 @dataclass
 class ShapeGroup:
     """Cliques of one layout shape, their static data stacked on a leading
-    member axis; ``keys[b]`` lists member ``b``'s subproblems."""
+    member axis; ``keys[b]`` lists member ``b``'s subproblems, ``lays[b]``
+    is its layout and ``eq[b]`` its :func:`treeipm.treeqp.equality_parts`."""
 
     members: list[int]
     slots: list[SlotStack]
     keys: list[tuple[int, ...]]
+    lays: list[CliqueLayout]
+    eq: list[tuple]
     eq_A: np.ndarray
     eq_b: np.ndarray
     zpos: np.ndarray
@@ -493,29 +503,32 @@ def _units(lays: Sequence[CliqueLayout]) -> list[Unit]:
 
 
 def shape_groups(
-    blocks: Iterable[tuple[int, CliqueLayout, np.ndarray, np.ndarray]],
+    blocks: Iterable[tuple[int, CliqueLayout, np.ndarray, np.ndarray, tuple]],
 ) -> list[ShapeGroup]:
-    """Group ``(clique, layout, eq_A, eq_b)`` in order of first appearance by
+    """Group ``(clique, layout, eq_A, eq_b, eq)`` in order of first appearance by
     shape: clique size, eliminated and separator positions, equality-row
     count and, per hosted subproblem, scope positions, inequality count and
     quadratic rows (with whether each ``Q`` is nonzero); stack each group,
     its members ordered into :class:`Unit` runs."""
     by_shape: dict[tuple, list] = {}
-    for i, lay, eq_A, eq_b in blocks:
+    for block in blocks:
+        lay, eq_A = block[1], block[2]
         shape = (len(lay.clique), lay.zpos.tobytes(), lay.ypos.tobytes(), len(eq_A)) + tuple(
             (pos.tobytes(), len(rows.b), tuple((j, bool(Q.any())) for j, Q in rows.quad))
             for _, _, pos, _, rows in lay.subs
         )
-        by_shape.setdefault(shape, []).append((i, lay, eq_A, eq_b))
+        by_shape.setdefault(shape, []).append(block)
     groups = []
     for members in by_shape.values():
         members.sort(key=lambda block: _unit_key(block[1]))
-        ids, lays, As, bs = zip(*members)
+        ids, lays, As, bs, eqs = zip(*members)
         size = len(lays[0].clique)
         groups.append(ShapeGroup(
             list(ids),
             [_stack_slot(subs, size) for subs in zip(*(lay.subs for lay in lays))],
             [tuple(k for k, *_ in lay.subs) for lay in lays],
+            list(lays),
+            list(eqs),
             np.array(As),
             np.array(bs),
             lays[0].zpos,
@@ -655,10 +668,7 @@ def gen_flow(
     the problem and the standard strictly feasible start
     ``(c/2, ..., 1, ...)``.
     """
-    try:
-        parents = [int(v) for v in tree_shape]
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"tree_shape must list integers ({exc})") from exc
+    parents = integers(tree_shape, "tree_shape")
     q = len(parents)
     if q == 0 or parents.count(-1) != 1 or parents[0] != -1:
         raise ProblemFormatError("tree_shape must have exactly one root at index 0")
@@ -755,7 +765,7 @@ def _require(doc: Mapping, key: str, where: str):
 
 def problem_from_json_dict(doc: Mapping) -> CoupledProblem:
     n = _require(doc, "n", "/")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_integer(n):
         raise ProblemFormatError("/n: must be an integer")
     raw_subs = _require(doc, "subproblems", "/")
     if not isinstance(raw_subs, list):
@@ -764,7 +774,7 @@ def problem_from_json_dict(doc: Mapping) -> CoupledProblem:
     for k, raw in enumerate(raw_subs):
         where = f"/subproblems/{k}"
         try:
-            scope = index_set(_require(raw, "J", where), n)
+            scope = index_set(integers(_require(raw, "J", where), f"{where}/J"), n)
             obj_doc = _require(raw, "objective", where)
             obj = QuadraticForm(
                 np.array(_require(obj_doc, "P", f"{where}/objective"), dtype=float),

@@ -2,16 +2,17 @@
 
 One agent per clique.  Communication happens in synchronous passes: an
 upward pass runs deepest level first, each non-root agent handing exactly
-one envelope to its parent; a downward pass runs root first, each agent
-handing one envelope to every child.  Agents are stored in groups, each
-field of a group an array with one row per member (or a list or tuple of
-such arrays).  A pass calls its handler once per *pass unit*, members of
-a group on one tree level, and a local step calls its kernel once per
-group; either computes each member's result from that member's rows and
-envelopes alone, so every read is logged as its owner's and audited.
+one payload to its parent; a downward pass runs root first, each agent
+handing one payload to every child.  Agents keep no private store: their
+data lives in groups, each field of a group an array with one row per
+member (or a list or tuple of such arrays).  A pass calls its handler
+once per *pass unit*, members of a group on one tree level, and a local
+step calls its kernel once per group; either computes each member's
+result from that member's rows and payloads alone, so every read is
+logged as its owner's and audited.
 
 Counters track message-passing steps (one per tree level per pass),
-per-agent factorizations and the envelopes each agent sent and received.
+per-agent factorizations and the payloads each agent sent and received.
 """
 
 from __future__ import annotations
@@ -41,15 +42,6 @@ ENVELOPE_KINDS = frozenset(
         "eq-constraint-push",
     }
 )
-
-
-@dataclass(slots=True)
-class Envelope:
-    src: int
-    dst: int
-    kind: str
-    payload: Any
-
 
 
 def _summarize(payload: Any) -> Any:
@@ -85,15 +77,14 @@ def _put(old: Any, rows: slice, size: int, value: Any) -> Any:
 
 
 class AgentEnv:
-    """One agent: its own store and its row of its group's fields; reads
-    are logged for the privacy audit."""
+    """One agent: its row of its group's fields; reads are logged for the
+    privacy audit."""
 
     def __init__(self, net: "Network", agent_id: int):
         self.net = net
         self.id = agent_id
         self.parent = net.tree.parent[agent_id]
         self.children = list(net.tree.children[agent_id])
-        self._store: dict[str, Any] = {}
         self._fields: dict[str, Any] = {}
         self._row = 0
 
@@ -101,20 +92,15 @@ class AgentEnv:
     def degree(self) -> int:
         return len(self.children) + (0 if self.parent is None else 1)
 
-    def put(self, name: str, value: Any) -> None:
-        self._store[name] = value
-
     def get(self, name: str) -> Any:
-        """A value of the own store, else the own row of a group field."""
+        """The own row of group field ``name``."""
         net = self.net
         if net.events is not None and (net._running or net._active is not None):
             net._record_read(self.id, name)
-        if name in self._store:
-            return self._store[name]
         return _take(self._fields[name], self._row)
 
     def has(self, name: str) -> bool:
-        return name in self._store or name in self._fields
+        return name in self._fields
 
     def count_factorization(self) -> None:
         self.net.factorizations[self.net.phase][self.id] += 1
@@ -150,8 +136,8 @@ class Members:
             self._fields[name] = _put(self._fields.get(name), self._rows, size, value)
 
 
-UpHandler = Callable[[Members, list[list[Envelope]]], Sequence[Any]]
-DownHandler = Callable[[Members, list[Envelope | None]], Sequence[Sequence[Any]]]
+UpHandler = Callable[[Members, list[list[Any]]], Sequence[Any]]
+DownHandler = Callable[[Members, list[Any]], Sequence[Sequence[Any]]]
 LocalKernel = Callable[[Members], None]
 
 
@@ -227,12 +213,12 @@ class Network:
             }
         )
 
-    def _deliver(self, envelopes: list[Envelope], level: int) -> None:
-        """Count and log one level's envelopes, in order."""
+    def _deliver(self, kind: str, level: int, items: list[tuple[int, int, Any]]) -> None:
+        """Count and log one level's ``(src, dst, payload)`` items, in order."""
         sent, received = self.sent[self.phase], self.received[self.phase]
-        for env in envelopes:
-            sent[env.src] += 1
-            received[env.dst] += 1
+        for src, dst, _ in items:
+            sent[src] += 1
+            received[dst] += 1
         if self.events is not None:
             self.events.extend(
                 {
@@ -240,12 +226,12 @@ class Network:
                     "phase": self.phase,
                     "pass": self._pass_counter,
                     "level": level,
-                    "src": env.src,
-                    "dst": env.dst,
-                    "kind": env.kind,
-                    "payload": _summarize(env.payload),
+                    "src": src,
+                    "dst": dst,
+                    "kind": kind,
+                    "payload": _summarize(payload),
                 }
-                for env in envelopes
+                for src, dst, payload in items
             )
 
     def _activate(self, agent_id: int, fn: Callable, *args) -> Any:
@@ -268,22 +254,23 @@ class Network:
             self._running = False
 
     def run_up(self, kind: str, handler: UpHandler) -> Any:
-        """Leaves to root; every non-root agent sends one envelope up.
-        ``handler(unit, inboxes)`` gets each member's envelopes in child
-        order and returns each member's payload.  Returns the root's."""
+        """Leaves to root; every non-root agent sends one payload up.
+        ``handler(unit, inboxes)`` gets each member's children's payloads
+        in child order (``unit.kids`` names the children) and returns each
+        member's payload.  Returns the root's."""
         self._start_pass(kind)
-        pending: dict[int, Envelope] = {}
+        parent, pending = self.tree.parent, {}
         try:
             for level in range(len(self.levels) - 1, 0, -1):
                 for unit in self.units[level]:
                     payloads = handler(unit, [[pending.pop(c) for c in kids] for kids in unit.kids])
-                    for env, payload in zip(unit.envs, payloads, strict=True):
+                    for i, payload in zip(unit.ids, payloads, strict=True):
                         if payload is None:
                             raise TopologyError(
-                                f"agent {env.id} produced no payload on an upward pass"
+                                f"agent {i} produced no payload on an upward pass"
                             )
-                        pending[env.id] = Envelope(env.id, env.parent, kind, payload)
-                self._deliver([pending[i] for i in self.levels[level]], level)
+                        pending[i] = payload
+                self._deliver(kind, level, [(i, parent[i], pending[i]) for i in self.levels[level]])
             (root,) = self.units[0]
             result = handler(root, [[pending.pop(c) for c in kids] for kids in root.kids])[0]
         finally:
@@ -292,12 +279,12 @@ class Network:
         return result
 
     def run_down(self, kind: str, handler: DownHandler) -> None:
-        """Root to leaves; every agent sends one envelope to each child.
-        ``handler(unit, envelopes)`` gets each member's envelope (``None``
-        at the root) and returns, per child position, each member's payload
-        for its child there."""
+        """Root to leaves; every agent sends one payload to each child.
+        ``handler(unit, payloads)`` gets each member's parent's payload
+        (``None`` at the root) and returns, per child position, each
+        member's payload for its child there."""
         self._start_pass(kind)
-        pending: dict[int, Envelope] = {}
+        parent, pending = self.tree.parent, {}
         try:
             for level, units in enumerate(self.units):
                 for unit in units:
@@ -309,8 +296,8 @@ class Network:
                                 f"got {len(slots)} payloads"
                             )
                         for c, slot in zip(kids, slots):
-                            pending[c] = Envelope(i, c, kind, slot[b])
-                self._deliver([pending[c] for c in self._below[level]], level)
+                            pending[c] = slot[b]
+                self._deliver(kind, level, [(parent[c], c, pending[c]) for c in self._below[level]])
         finally:
             self._running = False
         self._finish_pass()
@@ -349,7 +336,7 @@ class PrivacyReport:
 def audit_privacy(net: Network | None) -> PrivacyReport:
     """Check that every agent only read its own local data.
 
-    Envelope payloads are delivered explicitly and tree-edge locality is
+    Payloads are delivered explicitly and tree-edge locality is
     enforced structurally, so the audit reduces to read ownership.  A
     network without a run log (or a purely centralized computation) is
     reported as skipped.

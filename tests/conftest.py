@@ -262,13 +262,12 @@ def tree_qp_passes(tree: chordal.CliqueTree, data: dict):
     (over no separator, its constant the optimal value) included.
     """
     net = netsim.Network(tree, record_log=False)
-    locs = {
-        i: ipm.CliqueLocal(model.clique_layout(tree, i), A, beta)
-        for i, (_, _, A, beta) in sorted(data.items())
-    }
-    for grp, members in zip(ipm.group_cliques(net, locs), net.groups):
+    layouts = [model.clique_layout(tree, i) for i in range(tree.q)]
+    local_eq = {i: (A, beta) for i, (_, _, A, beta) in data.items()}
+    ipm.group_cliques(net, layouts, local_eq)
+    for members in net.groups:
         H, r, beta = members.get("kkt")
-        for b, i in enumerate(grp.members):
+        for b, i in enumerate(members.ids):
             H[b], r[b], _, beta[b] = data[i]
     messages = {}
 

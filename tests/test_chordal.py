@@ -75,14 +75,6 @@ def test_sparsity_graph_joins_scope_members():
     assert g.edges == frozenset(expected)
 
 
-def test_coupling_graph_joins_overlapping_scopes():
-    g = chordal.coupling_graph(SCOPES)
-    assert g.n == len(SCOPES)
-    for i, j in itertools.combinations(range(len(SCOPES)), 2):
-        overlap = set(SCOPES[i]) & set(SCOPES[j])
-        assert g.has_edge(i, j) == bool(overlap)
-
-
 def test_connected_components_matches_networkx():
     g = chordal.make_graph(7, [(0, 1), (1, 2), (4, 5)])
     mine = {frozenset(c) for c in chordal.connected_components(g)}

@@ -188,6 +188,13 @@ def _tree_file(text):
     return argv
 
 
+def _solver_flag(flag, value):
+    def argv(tmp_path, problem):
+        return ["solve", problem, flag, value, "--out", tmp_path]
+
+    return argv
+
+
 def _problem_file(edit):
     def argv(tmp_path, problem):
         doc = json.loads(problem.read_text())
@@ -209,6 +216,9 @@ def _problem_file(edit):
         _problem_file(lambda doc: doc.update(subproblems=5)),
         _problem_file(lambda doc: doc.update(subproblems=[5])),
         _problem_file(lambda doc: doc["subproblems"][0]["objective"].update(q=["a"])),
+        _problem_file(lambda doc: doc["subproblems"][0].update(J=[0, 3.2, 4.2, 5.2])),
+        _tree_file(json.dumps({"parents": [-1, 0.6, 0.4]})),
+        _solver_flag("--eps", "nan"),
     ],
     ids=[
         "x0-missing-key",
@@ -219,6 +229,9 @@ def _problem_file(edit):
         "subproblems-not-list",
         "subproblem-not-object",
         "objective-not-numeric",
+        "scope-fractional",
+        "tree-fractional",
+        "eps-nan",
     ],
 )
 def test_malformed_input_files_exit_4(tmp_path, flow_files, capsys, make_argv):

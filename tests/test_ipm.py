@@ -45,6 +45,16 @@ def test_solver_params_ranges():
         ipm.SolverParams(eps_feas=-1.0)
     with pytest.raises(ProblemFormatError):
         ipm.SolverParams(max_iters=0)
+    # non-finite tolerances and a non-integer iteration cap
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ProblemFormatError, match="finite"):
+            ipm.SolverParams(eps=bad)
+        with pytest.raises(ProblemFormatError, match="finite"):
+            ipm.SolverParams(eps_feas=bad)
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ProblemFormatError, match="integer"):
+            ipm.SolverParams(max_iters=bad)
+    assert ipm.SolverParams(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -81,7 +91,7 @@ def test_initial_state_shapes(rng):
     lam = {}
     for i, env in setup.network.agents.items():
         assert env.get("x").shape == (len(setup.tree.cliques[i]),)
-        assert env.get("v").shape == (setup.locals[i].eq_A.shape[0],)
+        assert env.get("v").shape == (setup.assignment.local_eq[i][0].shape[0],)
         lam.update(zip(setup.assignment.phi[i], env.get("lam")))
     assert sorted(lam) == list(range(len(p.subproblems)))
     for k, sp in enumerate(p.subproblems):
@@ -435,6 +445,10 @@ def test_iteration_does_no_layout_work(rng, monkeypatch):
 
 
 def bitwise_same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, np.ndarray) and a.dtype == object:
+        return a.shape == np.shape(b) and bitwise_same(list(a.flat), list(b.flat))
     if isinstance(a, dict):
         return list(a) == list(b) and all(bitwise_same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
@@ -451,7 +465,11 @@ def rows(fields: dict, at) -> dict:
 
 def probe_kernel(setup, kernel):
     """``kernel``, checked against each member run as a group of one."""
-    blocks = {i: (i, loc.lay, loc.eq_A, loc.eq_b) for i, loc in setup.locals.items()}
+    eq = setup.assignment.local_eq
+    blocks = {
+        i: (i, lay, *eq[i], treeqp.equality_parts(lay, eq[i][0]))
+        for i, lay in enumerate(setup.layouts)
+    }
 
     def run(group):
         before = copy.deepcopy(group._fields)

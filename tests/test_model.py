@@ -164,7 +164,7 @@ def test_assign_places_each_scope_on_lowest_cover():
     _, _, tree = chordal.clique_tree_for(p.scopes(), p.n)
     a = model.assign(p, tree)
     for k, sp in enumerate(p.subproblems):
-        home = a.clique_of(k)
+        home = next(i for i, ks in a.phi.items() if k in ks)
         assert set(sp.J) <= set(tree.cliques[home])
         for i in range(home):
             assert not set(sp.J) <= set(tree.cliques[i])
@@ -176,7 +176,7 @@ def test_assign_places_each_scope_on_lowest_cover():
         assert A.shape[0] == rows == b.size
     x = np.array([0.5, 0.5, 1.0])
     sp0 = p.subproblems[0]
-    home = a.clique_of(0)
+    home = next(i for i, ks in a.phi.items() if 0 in ks)
     A, b = a.local_eq[home]
     xc = x[list(tree.cliques[home])]
     assert np.allclose(A @ xc - b, sp0.eq_A @ x[list(sp0.J)] - sp0.eq_b)

@@ -35,19 +35,21 @@ def star_tree(leaves):
 def test_run_up_aggregates_and_orders_inbox():
     tree = star_tree(3)
     net = netsim.Network(tree)
-    for i in net.agents:
-        net.agents[i].put("val", i + 1)
+    # each agent is a group of its own until groups are set
+    for i, group in enumerate(net.groups):
+        group.put("val", np.array([i + 1]))
 
     seen = {}
 
     def up(unit, inboxes):
+        # a payload names its sender next to its subtree's sum
         out = []
         for env, inbox in zip(unit.envs, inboxes):
-            seen[env.id] = [e.src for e in inbox]
-            out.append(env.get("val") + sum(e.payload for e in inbox))
+            seen[env.id] = [src for src, _ in inbox]
+            out.append((env.id, env.get("val") + sum(s for _, s in inbox)))
         return out
 
-    total = net.run_up("qp-message", up)
+    _, total = net.run_up("qp-message", up)
     assert total == sum(i + 1 for i in net.agents)
     assert seen[tree.root] == [1, 2, 3]  # ascending child order
     assert all(seen[i] == [] for i in (1, 2, 3))
@@ -72,19 +74,19 @@ def test_run_up_rejects_unknown_kind():
 def test_run_down_broadcast_and_addressing():
     tree = star_tree(3)
     net = netsim.Network(tree)
-    net.agents[tree.root].put("word", "go")
+    net.groups[tree.root].put("word", np.array(["go"]))
     got = {}
 
-    def down(unit, envelopes):
-        (env,), (envelope,) = unit.envs, envelopes
-        w = envelope.payload if envelope is not None else env.get("word")
+    def down(unit, payloads):
+        (env,), (payload,) = unit.envs, payloads
+        w = payload if payload is not None else env.get("word")
         got[env.id] = w
         return [[w] for _ in env.children]
 
     net.run_down("stop-broadcast", down)
     assert got == {i: "go" for i in net.agents}
 
-    def bad(unit, envelopes):
+    def bad(unit, payloads):
         return []  # hub fails to address its children
 
     with pytest.raises(TopologyError, match="must address exactly its children"):
@@ -101,7 +103,7 @@ def test_mp_steps_count_levels_per_pass():
     net = netsim.Network(chain_tree(4))  # edge-height 3
     net.begin_phase("solve")
     net.run_up("qp-message", lambda unit, inboxes: [0.0] * len(unit.ids))
-    net.run_down("stop-broadcast", lambda unit, envs: [[0]] * len(unit.envs[0].children))
+    net.run_down("stop-broadcast", lambda unit, payloads: [[0]] * len(unit.envs[0].children))
     assert net.mp_steps["solve"] == 2 * 3
     assert net.half_passes["solve"] == 2
     assert net.mp_steps.get("setup", 0) == 0
@@ -113,10 +115,11 @@ def test_mp_steps_count_levels_per_pass():
 def test_run_log_export(tmp_path):
     tree = star_tree(2)
     net = netsim.Network(tree)
-    for i in net.agents:
-        net.agents[i].put("val", float(i))
+    for i, group in enumerate(net.groups):
+        group.put("val", np.array([float(i)]))
+
     def up(unit, inboxes):
-        return [e.get("val") + sum(m.payload for m in inbox) for e, inbox in zip(unit.envs, inboxes)]
+        return [e.get("val") + sum(inbox) for e, inbox in zip(unit.envs, inboxes)]
 
     net.run_up("residual-partial", up)
     path = tmp_path / "log.jsonl"
@@ -171,8 +174,8 @@ def test_privacy_audit_skipped_without_log():
 def test_privacy_audit_flags_cross_agent_read():
     tree = chain_tree(3)
     net = netsim.Network(tree)
-    net.agents[0].put("secret", 42)
-    # agent 2 reaches into agent 0's store: exactly one violation
+    net.groups[0].put("secret", np.array([42]))
+    # agent 2 reaches into agent 0's row: exactly one violation
     leaked = net._activate(2, lambda env: net.agents[0].get("secret"))
     assert leaked == 42
     rep = netsim.audit_privacy(net)
@@ -227,7 +230,7 @@ def interleaved_tree():
 
 def test_pass_units_keep_delivery_order_and_counts():
     # two groups interleaved by agent id on every level: the handlers run
-    # group by group, the envelopes go out as a one-agent-per-call pass
+    # group by group, the payloads go out as a one-agent-per-call pass
     # sends them, and the counters count what was handed over
     tree = interleaved_tree()
     net = netsim.Network(tree)
@@ -246,10 +249,10 @@ def test_pass_units_keep_delivery_order_and_counts():
     def up(unit, inboxes):
         calls.append(unit.ids)
         for i, inbox in zip(unit.ids, inboxes):
-            inboxes_seen[i] = [e.src for e in inbox]
+            inboxes_seen[i] = [int(src) for src in inbox]
         return [float(i) for i in unit.ids]
 
-    def down(unit, envelopes):
+    def down(unit, payloads):
         calls.append(unit.ids)
         return [list(unit.ids)] * len(unit.envs[0].children)
 
@@ -319,6 +322,6 @@ def test_env_degree_and_store():
     hub = net.agents[tree.root]
     assert hub.degree == 2
     assert net.agents[1].degree == 1
-    hub.put("k", 7)
+    net.groups[tree.root].put("k", np.array([7]))
     assert hub.has("k") and not net.agents[1].has("k")
     assert hub.get("k") == 7

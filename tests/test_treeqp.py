@@ -171,11 +171,12 @@ def test_root_message_carries_optimal_value(rng):
 def rhs_sweep(tree, net, r):
     """Upward sweep of eliminate_rhs through the agents' factors, then the
     downward sweep with its offsets."""
+    lays = [clique_layout(tree, i) for i in range(tree.q)]
     q, offsets = {}, {}
     for i in tree.post_order():
         env = net.agents[i]
         kids = [(c, q[c]) for c in tree.children[i]]
-        q[i], h1, h2 = rhs_one(env.get("loc").lay, env.get("factor"), env.get("solT")[None], r[i], kids)
+        q[i], h1, h2 = rhs_one(lays[i], env.get("factor"), env.get("solT")[None], r[i], kids)
         offsets[i] = (h1, h2)
     sols = {}
     for i in reversed(tree.post_order()):
@@ -184,9 +185,9 @@ def rhs_sweep(tree, net, r):
         y = (
             np.zeros((0,) + r[i].shape[1:])
             if par is None
-            else sols[par][0][net.agents[par].get("loc").lay.child_pos[i]]
+            else sols[par][0][lays[par].child_pos[i]]
         )
-        sols[i] = recover_one(env.get("loc").lay, env.get("solT")[None], y, offsets[i])
+        sols[i] = recover_one(lays[i], env.get("solT")[None], y, offsets[i])
     return q, sols
 
 
