@@ -104,13 +104,13 @@ def main():
 
     print("\nper-clique minimisers (separator entries copied from parent):")
     for i in tree.post_order():
-        y, v = net.agents[i].get("aff")
+        y, v = net.get(i, "aff")
         mult = f", multipliers {v}" if v.size else ""
         print(f"  clique {i} {tree.cliques[i]}: y = {y}{mult}")
 
     x = np.empty(4)
     for i in data:
-        x[list(tree.cliques[i])] = net.agents[i].get("aff")[0]
+        x[list(tree.cliques[i])] = net.get(i, "aff")[0]
     x_ref, value_ref = dense_reference(tree, data)
     print(f"\nstitched solution   x = {x}")
     print(f"dense KKT solution  x = {x_ref}")

@@ -47,7 +47,7 @@ def main():
           f"{'clean' if audit.ok else 'VIOLATIONS'}")
 
     # now reach into agent 0's rows from agent 2, on purpose
-    net._activate(2, lambda env: net.agents[0].get("x"))
+    net._activate(2, lambda: net.get(0, "x"))
     audit = netsim.audit_privacy(net)
     print(f"after an injected cross-read: ok={audit.ok}, "
           f"{len(audit.violations)} violation(s)")

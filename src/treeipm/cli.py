@@ -7,7 +7,7 @@ reports their step-size agreement, along the two trajectories and from
 the same iterates, ``dump-tree`` prints the chordal structure.
 
 Exit codes: 0 solved, 2 infeasible, 3 not converged or numerical failure,
-4 malformed input, 64 usage error.
+4 malformed input or an unusable path, 64 usage error.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _read_json_entry(path: str, key: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         return doc
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ProblemFormatError as exc:

@@ -182,13 +182,14 @@ def prepare(
     Each clique's :func:`model.clique_layout` is built once and holds every
     index the passes read; the shape groups carry them.  The equality
     blocks come from the ``eq-constraint-push`` pass, the network's
-    first: each agent stacks its rows of ``assignment.local_eq`` with
-    those its children pushed up, keeps the rows it can pin down over its
-    eliminated variables and pushes the rest to its parent over the
-    separator.  The feasible set of the stacked system is preserved; an
-    inconsistent system raises at the root.  :func:`group_cliques` then
-    checks each reduced block once and groups the cliques for the local
-    kernels and the passes.
+    first, while each clique is a group of its own: each agent stacks its
+    field ``eq``, its rows of ``assignment.local_eq``, with those its
+    children pushed up, keeps the rows it can pin down over its eliminated
+    variables and pushes the rest to its parent over the separator.  The
+    feasible set of the stacked system is preserved; an inconsistent
+    system raises at the root.  The reduced blocks go back into
+    ``assignment.local_eq``, and :func:`group_cliques` checks each once and
+    groups the cliques for the local kernels and the passes.
     """
     p.ensure_valid()
     if tree is None:
@@ -201,28 +202,26 @@ def prepare(
     ]
 
     def eq_push_up(unit: netsim.Members, inboxes: list) -> list:
-        out = []
-        for env, kids, inbox in zip(unit.envs, unit.kids, inboxes):
-            lay = layouts[env.id]
-            A, b = a.local_eq[env.id]
-            blocks_A, blocks_b = [A], [b]
-            for c, push in zip(kids, inbox):
-                block = np.zeros((push["A"].shape[0], len(lay.clique)))
-                block[:, lay.child_pos[c]] = push["A"]
-                blocks_A.append(block)
-                blocks_b.append(push["b"])
-            A, b, push_A, push_b = model.reduce_equality_block(
-                np.vstack(blocks_A),
-                np.concatenate(blocks_b),
-                lay.zpos,
-                lay.ypos,
-                is_root=env.parent is None,
-            )
-            a.local_eq[env.id] = (A, b)
-            out.append(None if env.parent is None else {"A": push_A, "b": push_b})
-        return out
+        # the unit is one clique, a group of its own
+        (i,), (kids,), (inbox,) = unit.ids, unit.kids, inboxes
+        lay, root = layouts[i], tree.parent[i] is None
+        (A,), (b,) = unit.get("eq")
+        blocks_A, blocks_b = [A], [b]
+        for c, push in zip(kids, inbox):
+            block = np.zeros((push["A"].shape[0], len(lay.clique)))
+            block[:, lay.child_pos[c]] = push["A"]
+            blocks_A.append(block)
+            blocks_b.append(push["b"])
+        A, b, push_A, push_b = model.reduce_equality_block(
+            np.vstack(blocks_A), np.concatenate(blocks_b), lay.zpos, lay.ypos, is_root=root
+        )
+        unit.put("eq", (A[None], b[None]))
+        return [None if root else {"A": push_A, "b": push_b}]
 
+    for i, members in enumerate(net.groups):
+        members.put("eq", tuple(block[None] for block in a.local_eq[i]))
     net.run_up("eq-constraint-push", eq_push_up)
+    a.local_eq = {i: tuple(blk[0] for blk in m.get("eq")) for i, m in enumerate(net.groups)}
     group_cliques(net, layouts, a.local_eq)
     return SolverSetup(p, tree, a, layouts, net)
 
@@ -559,13 +558,13 @@ def _dir_up(unit: netsim.Members, inboxes: list) -> list:
     H, R, BETA = unit.get("kkt")
     msgs, sols = [], []
     factors = np.empty(len(unit.ids), dtype=object)
-    members = zip(grp.lays[rows], grp.eq[rows], unit.envs, unit.kids, inboxes)
-    for b, (lay, eq, env, kids, inbox) in enumerate(members):
+    members = zip(grp.lays[rows], grp.eq[rows], unit.kids, inboxes)
+    for b, (lay, eq, kids, inbox) in enumerate(members):
         kid_msgs = list(zip(kids, inbox))
         msg, sol, factors[b] = treeqp.eliminate(lay, H[b], R[b], BETA[b], eq, kid_msgs)
-        env.count_factorization()
         msgs.append(msg)
         sols.append(sol)
+    unit.count_factorizations()
     unit.put("factor", factors)
     unit.put("solT", treeqp.stack_solutions(sols))
     return msgs
@@ -698,7 +697,7 @@ def step(
     """
     net = setup.network
     m_total = setup.problem.m_total
-    watched = net.agents[setup.tree.root].has("watch")
+    watched = net.groups[0].has("watch")
     net.run_local(_qp_kernel)
     net.run_up("qp-message", _dir_up)
     net.run_down("separator-solution", _dir_down)
@@ -737,13 +736,13 @@ def step(
 def iterate(setup: SolverSetup) -> tuple[np.ndarray, dict, dict, dict]:
     """The agents' point: ``x`` over all variables, each entry from the clique that
     eliminates it, and views of their rows: ``x``, ``v`` per clique, ``lam`` per subproblem."""
-    agents, lays = setup.network.agents, setup.layouts
-    x_clique = {i: env.get("x") for i, env in agents.items()}
-    v = {i: env.get("v") for i, env in agents.items()}
+    net, lays, agents = setup.network, setup.layouts, range(setup.tree.q)
+    x_clique = {i: net.get(i, "x") for i in agents}
+    v = {i: net.get(i, "v") for i in agents}
     lam: dict[int, np.ndarray] = {}
     x = np.zeros(setup.problem.n)
-    for i, env in agents.items():
-        lam.update(zip(setup.assignment.phi[i], env.get("lam")))
+    for i in agents:
+        lam.update(zip(setup.assignment.phi[i], net.get(i, "lam")))
         x[list(lays[i].elim)] = x_clique[i][lays[i].zpos]
     return x, x_clique, v, lam
 

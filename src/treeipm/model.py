@@ -274,9 +274,10 @@ class CoupledProblem:
         for k, sp in enumerate(self.subproblems):
             sp.validate(self.n, f"/subproblems/{k}")
             covered.update(sp.J)
-        if covered != set(range(self.n)):
-            missing = sorted(set(range(self.n)) - covered)
-            raise ProblemFormatError(f"variables not covered by any scope: {missing}")
+        if len(covered) != self.n:  # the scopes lie in range(n)
+            first = [v for v in range(min(self.n, len(covered) + 10)) if v not in covered][:10]
+            missing = self.n - len(covered)
+            raise ProblemFormatError(f"{missing} variables not covered, first {first}")
         self.validated = True
         return self
 
@@ -679,6 +680,8 @@ def gen_flow(
         if not 0 <= par < q or par == i:
             raise ProblemFormatError(f"bad parent {par} for agent {i}")
         children[par].append(i)
+    if seed is not None and seed < 0:
+        raise ProblemFormatError(f"seed must be >= 0, got {seed}")
     if params is None:
         params = sample_flow_params(q, np.random.default_rng(seed))
     n = 2 * q
@@ -810,6 +813,6 @@ def problem_from_json_dict(doc: Mapping) -> CoupledProblem:
 def load_problem(path: str | Path) -> CoupledProblem:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from exc
     return problem_from_json_dict(doc)

@@ -5,11 +5,13 @@ upward pass runs deepest level first, each non-root agent handing exactly
 one payload to its parent; a downward pass runs root first, each agent
 handing one payload to every child.  Agents keep no private store: their
 data lives in groups, each field of a group an array with one row per
-member (or a list or tuple of such arrays).  A pass calls its handler
-once per *pass unit*, members of a group on one tree level, and a local
-step calls its kernel once per group; either computes each member's
-result from that member's rows and payloads alone, so every read is
-logged as its owner's and audited.
+member (or a list or tuple of such arrays); an agent is its row of its
+group.  A pass calls its handler once per *pass unit*, members of a group
+on one tree level, and a local step calls its kernel once per group;
+either computes each member's result from that member's rows and
+payloads alone.  While it runs, its members are the *reader*: every read
+is logged, a member's own row as its own read and any other row as a
+read by the reader's first member, which the privacy audit flags.
 
 Counters track message-passing steps (one per tree level per pass),
 per-agent factorizations and the payloads each agent sent and received.
@@ -76,36 +78,6 @@ def _put(old: Any, rows: slice, size: int, value: Any) -> Any:
     return old
 
 
-class AgentEnv:
-    """One agent: its row of its group's fields; reads are logged for the
-    privacy audit."""
-
-    def __init__(self, net: "Network", agent_id: int):
-        self.net = net
-        self.id = agent_id
-        self.parent = net.tree.parent[agent_id]
-        self.children = list(net.tree.children[agent_id])
-        self._fields: dict[str, Any] = {}
-        self._row = 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.children) + (0 if self.parent is None else 1)
-
-    def get(self, name: str) -> Any:
-        """The own row of group field ``name``."""
-        net = self.net
-        if net.events is not None and (net._running or net._active is not None):
-            net._record_read(self.id, name)
-        return _take(self._fields[name], self._row)
-
-    def has(self, name: str) -> bool:
-        return name in self._fields
-
-    def count_factorization(self) -> None:
-        self.net.factorizations[self.net.phase][self.id] += 1
-
-
 class Members:
     """Agents of one group and their ``rows`` of its fields: a pass unit
     (``spec`` the group's description of it) or the whole group."""
@@ -113,19 +85,23 @@ class Members:
     def __init__(self, net: "Network", group: Any, fields: dict, rows: slice, spec: Any = None):
         self.net, self.group, self.spec, self._fields = net, group, spec, fields
         self.ids = group.members[rows]
-        self.envs = [net.agents[i] for i in self.ids]
-        self.kids = [env.children for env in self.envs]
+        self.kids = [net.tree.children[i] for i in self.ids]
         # members that are the whole group read and write whole fields
         self._rows = None if len(self.ids) == len(group.members) else rows
 
     def get(self, name: str) -> Any:
-        """The members' rows of field ``name``, each logged as its owner's read."""
-        net = self.net
-        if net.events is not None and (net._running or net._active is not None):
-            for i in self.ids:
-                net._record_read(i, name)
+        """The members' rows of field ``name``, each read logged."""
+        self.net._log_reads(self.ids, name)
         value = self._fields[name]
         return value if self._rows is None else _take(value, self._rows)
+
+    def has(self, name: str) -> bool:
+        return name in self._fields
+
+    def count_factorizations(self) -> None:
+        """One factorization for each member."""
+        for i in self.ids:
+            self.net.factorizations[self.net.phase][i] += 1
 
     def put(self, name: str, value: Any) -> None:
         """Write the members' rows of field ``name``."""
@@ -152,7 +128,6 @@ class Network:
         self.levels = tree.levels()
         # each level's children, in the order a downward pass sends to them
         self._below = [[c for i in level for c in tree.children[i]] for level in self.levels]
-        self.agents = {i: AgentEnv(self, i) for i in range(tree.q)}
         self.phase = "setup"
         self.mp_steps: dict[str, int] = defaultdict(int)
         self.half_passes: dict[str, int] = defaultdict(int)
@@ -164,8 +139,8 @@ class Network:
             lambda: defaultdict(int)
         )
         self.events: list[dict] | None = [] if record_log else None
-        self._active: int | None = None
-        self._running = False
+        # the member ids of the running unit or group, or of an activated agent
+        self._reader: list[int] | None = None
         self._pass_counter = 0
         # each agent its own group until the caller sets groups
         depth = tree.depth
@@ -178,15 +153,22 @@ class Network:
         ``(depth, rows, ...)``: its members' rows on one tree level."""
         self.groups: list[Members] = []
         self.units: list[list[Members]] = [[] for _ in self.levels]
+        # each agent's group fields and its row of them
+        self._home: dict[int, tuple[dict, int]] = {}
         for group in groups:
             fields: dict[str, Any] = {}
             self.groups.append(Members(self, group, fields, slice(None)))
-            for row, i in enumerate(group.members):
-                self.agents[i]._fields, self.agents[i]._row = fields, row
+            self._home.update((i, (fields, row)) for row, i in enumerate(group.members))
             for spec in group.units:
                 self.units[spec[0]].append(Members(self, group, fields, spec[1], spec))
 
     # ---- phases and counters ----
+
+    def get(self, agent: int, name: str) -> Any:
+        """``agent``'s row of its group's field ``name``, the read logged."""
+        fields, row = self._home[agent]
+        self._log_reads([agent], name)
+        return _take(fields[name], row)
 
     def begin_phase(self, name: str) -> None:
         self.phase = name
@@ -195,23 +177,30 @@ class Network:
         if kind not in ENVELOPE_KINDS:
             raise TopologyError(f"unknown envelope kind {kind!r}")
         self._pass_counter += 1
-        self._running = True
 
     def _finish_pass(self) -> None:
         self.mp_steps[self.phase] += self.height
         self.half_passes[self.phase] += 1
 
-    def _record_read(self, owner: int, name: str) -> None:
-        self.events.append(
-            {
-                "type": "read",
-                "phase": self.phase,
-                "pass": self._pass_counter,
-                "agent": owner if self._active is None else self._active,
-                "owner": owner,
-                "field": name,
-            }
-        )
+    def _log_reads(self, owners: list[int], name: str) -> None:
+        """Log the reader's read of the ``owners``' rows of field ``name``;
+        outside a pass, a local step or an activation nothing is logged."""
+        reader = self._reader
+        if reader is None or self.events is None:
+            return
+        events, phase, pass_id = self.events, self.phase, self._pass_counter
+        # a unit or group reading its own rows needs no membership test
+        for i in owners:
+            events.append(
+                {
+                    "type": "read",
+                    "phase": phase,
+                    "pass": pass_id,
+                    "agent": i if owners is reader or i in reader else reader[0],
+                    "owner": i,
+                    "field": name,
+                }
+            )
 
     def _deliver(self, kind: str, level: int, items: list[tuple[int, int, Any]]) -> None:
         """Count and log one level's ``(src, dst, payload)`` items, in order."""
@@ -234,24 +223,24 @@ class Network:
                 for src, dst, payload in items
             )
 
-    def _activate(self, agent_id: int, fn: Callable, *args) -> Any:
-        """``fn(agent, *args)`` with every read logged as ``agent_id``'s."""
-        self._active = agent_id
+    def _activate(self, agent: int, fn: Callable[[], Any]) -> Any:
+        """``fn()`` with ``agent`` as the reader."""
+        self._reader = [agent]
         try:
-            return fn(self.agents[agent_id], *args)
+            return fn()
         finally:
-            self._active = None
+            self._reader = None
 
     # ---- local steps and passes ----
 
     def run_local(self, kernel: LocalKernel) -> None:
         """``kernel(group)`` once per group; nothing is sent and no round counted."""
-        self._running = True
         try:
             for group in self.groups:
+                self._reader = group.ids
                 kernel(group)
         finally:
-            self._running = False
+            self._reader = None
 
     def run_up(self, kind: str, handler: UpHandler) -> Any:
         """Leaves to root; every non-root agent sends one payload up.
@@ -263,6 +252,7 @@ class Network:
         try:
             for level in range(len(self.levels) - 1, 0, -1):
                 for unit in self.units[level]:
+                    self._reader = unit.ids
                     payloads = handler(unit, [[pending.pop(c) for c in kids] for kids in unit.kids])
                     for i, payload in zip(unit.ids, payloads, strict=True):
                         if payload is None:
@@ -272,9 +262,10 @@ class Network:
                         pending[i] = payload
                 self._deliver(kind, level, [(i, parent[i], pending[i]) for i in self.levels[level]])
             (root,) = self.units[0]
+            self._reader = root.ids
             result = handler(root, [[pending.pop(c) for c in kids] for kids in root.kids])[0]
         finally:
-            self._running = False
+            self._reader = None
         self._finish_pass()
         return result
 
@@ -288,6 +279,7 @@ class Network:
         try:
             for level, units in enumerate(self.units):
                 for unit in units:
+                    self._reader = unit.ids
                     slots = handler(unit, [pending.pop(i, None) for i in unit.ids])
                     for b, (i, kids) in enumerate(zip(unit.ids, unit.kids)):
                         if len(slots) != len(kids):
@@ -299,7 +291,7 @@ class Network:
                             pending[c] = slot[b]
                 self._deliver(kind, level, [(parent[c], c, pending[c]) for c in self._below[level]])
         finally:
-            self._running = False
+            self._reader = None
         self._finish_pass()
 
     # ---- log export ----
@@ -422,17 +414,18 @@ def accounting(
     expected = 2 * L * (backtracks + 4 * iterations)
     halves = net.half_passes.get(phase, 0)
     expected_halves = 2 * (backtracks + 4 * iterations)
-    facts = {i: net.factorizations.get(phase, {}).get(i, 0) for i in net.agents}
-    degree = {i: net.agents[i].degree for i in net.agents}
+    tree, agents = net.tree, range(net.tree.q)
+    facts = {i: net.factorizations.get(phase, {}).get(i, 0) for i in agents}
+    degree = {i: len(tree.children[i]) + (tree.parent[i] is not None) for i in agents}
     envelopes = {
         i: net.sent.get(phase, {}).get(i, 0) + net.received.get(phase, {}).get(i, 0)
-        for i in net.agents
+        for i in agents
     }
     ok = (
         mp == expected
         and halves == expected_halves
         and all(v == iterations for v in facts.values())
-        and all(envelopes[i] == halves * degree[i] for i in net.agents)
+        and all(envelopes[i] == halves * degree[i] for i in agents)
     )
     report = StepAccounting(
         phase=phase,

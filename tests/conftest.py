@@ -145,17 +145,17 @@ def agent_directions(setup):
     ``dv`` per clique and ``dlam`` per subproblem; agents keep no affine
     multiplier direction, so the affine ``dlam`` is empty.
     """
-    envs = setup.network.agents.values()
+    net, agents = setup.network, range(setup.tree.q)
     phi = setup.assignment.phi
     aff = (
-        {env.id: env.get("aff")[0] for env in envs},
-        {env.id: env.get("aff")[1] for env in envs},
+        {i: net.get(i, "aff")[0] for i in agents},
+        {i: net.get(i, "aff")[1] for i in agents},
         {},
     )
     corr = (
-        {env.id: env.get("dx") for env in envs},
-        {env.id: env.get("dv") for env in envs},
-        {k: d for env in envs for k, d in zip(phi[env.id], env.get("dlam"))},
+        {i: net.get(i, "dx") for i in agents},
+        {i: net.get(i, "dv") for i in agents},
+        {k: d for i in agents for k, d in zip(phi[i], net.get(i, "dlam"))},
     )
     return aff, corr
 

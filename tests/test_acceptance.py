@@ -357,7 +357,7 @@ def test_criterion_10_privacy_audit_clean_and_sharp(flow_suite):
     net = res.network
     clean_before = netsim.audit_privacy(net).ok
     # reach across agent boundaries on purpose; the audit must pin it
-    net._activate(2, lambda env: net.agents[0].get("x"))
+    net._activate(2, lambda: net.get(0, "x"))
     rep = netsim.audit_privacy(net)
     injected_pinned = (
         not rep.ok

@@ -195,6 +195,14 @@ def _solver_flag(flag, value):
     return argv
 
 
+def _problem_bytes(data):
+    def argv(tmp_path, problem):
+        (tmp_path / "bad.json").write_bytes(data)
+        return ["solve", tmp_path / "bad.json", "--out", tmp_path]
+
+    return argv
+
+
 def _problem_file(edit):
     def argv(tmp_path, problem):
         doc = json.loads(problem.read_text())
@@ -219,6 +227,9 @@ def _problem_file(edit):
         _problem_file(lambda doc: doc["subproblems"][0].update(J=[0, 3.2, 4.2, 5.2])),
         _tree_file(json.dumps({"parents": [-1, 0.6, 0.4]})),
         _solver_flag("--eps", "nan"),
+        _problem_file(lambda doc: doc.update(n=10**12)),
+        _problem_bytes(b"\xff\xfe"),
+        lambda tmp_path, problem: ["gen-flow", "--seed", -1, "--out", tmp_path / "p.json"],
     ],
     ids=[
         "x0-missing-key",
@@ -232,6 +243,9 @@ def _problem_file(edit):
         "scope-fractional",
         "tree-fractional",
         "eps-nan",
+        "n-huge",
+        "not-utf8",
+        "seed-negative",
     ],
 )
 def test_malformed_input_files_exit_4(tmp_path, flow_files, capsys, make_argv):
@@ -239,6 +253,15 @@ def test_malformed_input_files_exit_4(tmp_path, flow_files, capsys, make_argv):
     argv = [str(a) for a in make_argv(tmp_path, problem)]
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unusable", ["out-is-file", "problem-is-dir"])
+def test_unusable_paths_exit_4(tmp_path, flow_files, capsys, unusable):
+    _, problem, _ = flow_files
+    where = {"out-is-file": (problem, problem), "problem-is-dir": (tmp_path, tmp_path)}
+    src, out = where[unusable]
+    assert cli.main(["solve", str(src), "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

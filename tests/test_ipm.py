@@ -89,10 +89,11 @@ def test_initial_state_shapes(rng):
     setup = ipm.prepare(p)
     ipm.start(setup, x0)
     lam = {}
-    for i, env in setup.network.agents.items():
-        assert env.get("x").shape == (len(setup.tree.cliques[i]),)
-        assert env.get("v").shape == (setup.assignment.local_eq[i][0].shape[0],)
-        lam.update(zip(setup.assignment.phi[i], env.get("lam")))
+    net = setup.network
+    for i in range(setup.tree.q):
+        assert net.get(i, "x").shape == (len(setup.tree.cliques[i]),)
+        assert net.get(i, "v").shape == (setup.assignment.local_eq[i][0].shape[0],)
+        lam.update(zip(setup.assignment.phi[i], net.get(i, "lam")))
     assert sorted(lam) == list(range(len(p.subproblems)))
     for k, sp in enumerate(p.subproblems):
         assert np.all(lam[k] == 1.0)
@@ -644,12 +645,21 @@ def test_batched_reads_are_each_agents_own():
     assert len(starts) == res.iterations
     for lo, hi in zip(starts, starts[1:] + [math.inf]):
         seen = {(e["agent"], e["field"]) for e in reads if lo <= e["pass"] < hi}
-        for i in net.agents:
+        for i in range(res.setup.tree.q):
             assert (i, "x") in seen and (i, "lam") in seen
     # an injected cross-agent read is still the one violation
-    net._activate(2, lambda env: net.agents[0].get("x"))
+    net._activate(2, lambda: net.get(0, "x"))
     rep = netsim.audit_privacy(net)
     assert [(v["agent"], v["owner"]) for v in rep.violations] == [(2, 0)]
+
+
+def test_setup_push_reads_each_cliques_own_block():
+    p, x0 = model.gen_flow(model.balanced_tree(3, 2), seed=0)
+    res = ipm.solve(p, x0=x0)
+    q = res.setup.tree.q
+    reads = [e for e in res.network.events if e["type"] == "read" and e["field"] == "eq"]
+    assert [(e["phase"], e["pass"]) for e in reads] == [("setup", 1)] * q
+    assert sorted((e["agent"], e["owner"]) for e in reads) == [(i, i) for i in range(q)]
 
 
 def test_phase_one_certifies_infeasibility():

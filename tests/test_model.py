@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,12 @@ def test_validate_rejects_bad_problems():
     sp = model.Subproblem((0,), model.QuadraticForm(np.eye(1), np.zeros(1)))
     with pytest.raises(ProblemFormatError, match="not covered"):
         model.CoupledProblem(2, [sp]).validate()
+    # a huge n is rejected without enumerating its variables
+    began = time.perf_counter()
+    with pytest.raises(ProblemFormatError, match="not covered") as exc:
+        model.CoupledProblem(10**12, [sp]).validate()
+    assert time.perf_counter() - began < 1.0
+    assert str(exc.value) == f"{10**12 - 1} variables not covered, first {list(range(1, 11))}"
     far = model.Subproblem((5,), model.QuadraticForm(np.eye(1), np.zeros(1)))
     with pytest.raises(ProblemFormatError):
         model.CoupledProblem(2, [far]).validate()

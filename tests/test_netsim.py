@@ -44,13 +44,13 @@ def test_run_up_aggregates_and_orders_inbox():
     def up(unit, inboxes):
         # a payload names its sender next to its subtree's sum
         out = []
-        for env, inbox in zip(unit.envs, inboxes):
-            seen[env.id] = [src for src, _ in inbox]
-            out.append((env.id, env.get("val") + sum(s for _, s in inbox)))
+        for i, val, inbox in zip(unit.ids, unit.get("val"), inboxes):
+            seen[i] = [src for src, _ in inbox]
+            out.append((i, val + sum(s for _, s in inbox)))
         return out
 
     _, total = net.run_up("qp-message", up)
-    assert total == sum(i + 1 for i in net.agents)
+    assert total == sum(i + 1 for i in range(tree.q))
     assert seen[tree.root] == [1, 2, 3]  # ascending child order
     assert all(seen[i] == [] for i in (1, 2, 3))
 
@@ -78,13 +78,13 @@ def test_run_down_broadcast_and_addressing():
     got = {}
 
     def down(unit, payloads):
-        (env,), (payload,) = unit.envs, payloads
-        w = payload if payload is not None else env.get("word")
-        got[env.id] = w
-        return [[w] for _ in env.children]
+        (i,), (kids,), (payload,) = unit.ids, unit.kids, payloads
+        w = payload if payload is not None else unit.get("word")[0]
+        got[i] = w
+        return [[w] for _ in kids]
 
     net.run_down("stop-broadcast", down)
-    assert got == {i: "go" for i in net.agents}
+    assert got == {i: "go" for i in range(tree.q)}
 
     def bad(unit, payloads):
         return []  # hub fails to address its children
@@ -103,7 +103,7 @@ def test_mp_steps_count_levels_per_pass():
     net = netsim.Network(chain_tree(4))  # edge-height 3
     net.begin_phase("solve")
     net.run_up("qp-message", lambda unit, inboxes: [0.0] * len(unit.ids))
-    net.run_down("stop-broadcast", lambda unit, payloads: [[0]] * len(unit.envs[0].children))
+    net.run_down("stop-broadcast", lambda unit, payloads: [[0]] * len(unit.kids[0]))
     assert net.mp_steps["solve"] == 2 * 3
     assert net.half_passes["solve"] == 2
     assert net.mp_steps.get("setup", 0) == 0
@@ -119,7 +119,7 @@ def test_run_log_export(tmp_path):
         group.put("val", np.array([float(i)]))
 
     def up(unit, inboxes):
-        return [e.get("val") + sum(inbox) for e, inbox in zip(unit.envs, inboxes)]
+        return [val + sum(inbox) for val, inbox in zip(unit.get("val"), inboxes)]
 
     net.run_up("residual-partial", up)
     path = tmp_path / "log.jsonl"
@@ -176,7 +176,7 @@ def test_privacy_audit_flags_cross_agent_read():
     net = netsim.Network(tree)
     net.groups[0].put("secret", np.array([42]))
     # agent 2 reaches into agent 0's row: exactly one violation
-    leaked = net._activate(2, lambda env: net.agents[0].get("secret"))
+    leaked = net._activate(2, lambda: net.get(0, "secret"))
     assert leaked == 42
     rep = netsim.audit_privacy(net)
     assert not rep.ok
@@ -209,15 +209,55 @@ def test_local_step_sends_nothing_and_logs_owner_reads():
 
     net.run_local(kernel)
     assert calls == [[1, 3], [0, 2]]
-    assert [net.agents[i].get("twice") for i in range(4)] == [0.0, 2.0, 4.0, 6.0]
+    assert [net.get(i, "twice") for i in range(4)] == [0.0, 2.0, 4.0, 6.0]
     assert (dict(net.mp_steps), dict(net.half_passes), net._pass_counter) == before
     new = net.events[n_events:]
     assert [(e["type"], e["agent"], e["owner"]) for e in new] == [
         ("read", i, i) for i in (1, 3, 0, 2)
     ]
     # outside a pass or a local step nothing is logged
-    net.agents[0].get("val")
+    net.get(0, "val")
     assert len(net.events) == n_events + 4
+
+
+def test_reads_outside_the_running_members_are_charged_to_the_reader():
+    # an up pass, a down pass and a local step each read one row of an
+    # agent that is not running; the audit reports exactly those reads, each
+    # by the running unit's or group's first member
+    tree = star_tree(3)
+    net = netsim.Network(tree)
+    net.set_groups(
+        [
+            SimpleNamespace(members=[1, 3], units=[(1, slice(0, 2))]),
+            SimpleNamespace(members=[0, 2], units=[(0, slice(0, 1)), (1, slice(1, 2))]),
+        ]
+    )
+    for group in net.groups:
+        group.put("val", np.array(group.ids, dtype=float))
+
+    def up(unit, inboxes):
+        if unit.ids == [1, 3]:
+            net.get(3, "val")  # a member's own row, read by agent 3
+            net.get(2, "val")
+        return [0.0] * len(unit.ids)
+
+    def down(unit, payloads):
+        if unit.ids == [0]:
+            net.get(3, "val")
+        return [[0] * len(unit.ids)] * len(unit.kids[0])
+
+    def kernel(group):
+        if group.ids == [0, 2]:
+            net.get(1, "val")
+
+    net.run_up("qp-message", up)
+    net.run_down("stop-broadcast", down)
+    net.run_local(kernel)
+    rep = netsim.audit_privacy(net)
+    assert rep.n_reads == 4
+    assert [(e["pass"], e["agent"], e["owner"]) for e in rep.violations] == [
+        (1, 1, 2), (2, 0, 3), (2, 0, 1)
+    ]
 
 
 def interleaved_tree():
@@ -254,7 +294,7 @@ def test_pass_units_keep_delivery_order_and_counts():
 
     def down(unit, payloads):
         calls.append(unit.ids)
-        return [list(unit.ids)] * len(unit.envs[0].children)
+        return [list(unit.ids)] * len(unit.kids[0])
 
     net.run_up("residual-partial", up)
     assert calls == [[5, 7, 9], [6, 8, 10], [1, 3], [2, 4], [0]]
@@ -271,10 +311,11 @@ def test_pass_units_keep_delivery_order_and_counts():
     assert delivered == up_order + down_order
     levels = [e["level"] for e in net.events if e["type"] == "deliver"]
     assert levels == [2] * 6 + [1] * 4 + [0] * 4 + [1] * 6
-    sent = {i: sum(src == i for src, _ in delivered) for i in net.agents}
-    received = {i: sum(dst == i for _, dst in delivered) for i in net.agents}
-    assert {i: net.sent["solve"].get(i, 0) for i in net.agents} == sent
-    assert {i: net.received["solve"].get(i, 0) for i in net.agents} == received
+    agents = range(tree.q)
+    sent = {i: sum(src == i for src, _ in delivered) for i in agents}
+    received = {i: sum(dst == i for _, dst in delivered) for i in agents}
+    assert {i: net.sent["solve"].get(i, 0) for i in agents} == sent
+    assert {i: net.received["solve"].get(i, 0) for i in agents} == received
 
 
 # ---------------- step accounting ----------------
@@ -319,9 +360,9 @@ def test_accounting_strict_raises_on_mismatch():
 def test_env_degree_and_store():
     tree = star_tree(2)
     net = netsim.Network(tree)
-    hub = net.agents[tree.root]
-    assert hub.degree == 2
-    assert net.agents[1].degree == 1
+    degree = netsim.accounting(net, 0, 0).degree
+    assert degree[tree.root] == 2
+    assert degree[1] == 1
     net.groups[tree.root].put("k", np.array([7]))
-    assert hub.has("k") and not net.agents[1].has("k")
-    assert hub.get("k") == 7
+    assert net.groups[tree.root].has("k") and not net.groups[1].has("k")
+    assert net.get(tree.root, "k") == 7

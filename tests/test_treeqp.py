@@ -137,16 +137,16 @@ def test_tree_solution_matches_dense_kkt(rng):
         val = messages[tree.root].c + sum(consts.values())
         assert np.allclose(x, x_ref, atol=1e-8), np.abs(x - x_ref).max()
         assert np.isclose(val, val_ref, atol=1e-8 * max(1, abs(val_ref)))
-        for i, env in net.agents.items():
+        for i in range(tree.q):
             lo, hi = row_of[i]
-            assert np.allclose(env.get("aff")[1], nu_ref[lo:hi], atol=1e-8)
+            assert np.allclose(net.get(i, "aff")[1], nu_ref[lo:hi], atol=1e-8)
 
 
 def stitch(tree, net, n):
     """The agents' minimisers over all variables."""
     x = np.full(n, np.nan)
-    for i, env in net.agents.items():
-        dx = env.get("aff")[0]
+    for i in range(tree.q):
+        dx = net.get(i, "aff")[0]
         cols = list(tree.cliques[i])
         old = x[cols]
         # overlapping coordinates must agree bitwise
@@ -174,20 +174,18 @@ def rhs_sweep(tree, net, r):
     lays = [clique_layout(tree, i) for i in range(tree.q)]
     q, offsets = {}, {}
     for i in tree.post_order():
-        env = net.agents[i]
         kids = [(c, q[c]) for c in tree.children[i]]
-        q[i], h1, h2 = rhs_one(lays[i], env.get("factor"), env.get("solT")[None], r[i], kids)
+        q[i], h1, h2 = rhs_one(lays[i], net.get(i, "factor"), net.get(i, "solT")[None], r[i], kids)
         offsets[i] = (h1, h2)
     sols = {}
     for i in reversed(tree.post_order()):
         par = tree.parent[i]
-        env = net.agents[i]
         y = (
             np.zeros((0,) + r[i].shape[1:])
             if par is None
             else sols[par][0][lays[par].child_pos[i]]
         )
-        sols[i] = recover_one(lays[i], env.get("solT")[None], y, offsets[i])
+        sols[i] = recover_one(lays[i], net.get(i, "solT")[None], y, offsets[i])
     return q, sols
 
 
@@ -215,8 +213,8 @@ def test_rhs_sweep_matches_fresh_elimination(rng, monkeypatch):
             for i, msg in fresh_msgs.items():
                 assert np.allclose(q[i][:, col], msg.q, atol=1e-9)
                 assert np.allclose(msg.Q, messages[i].Q)
-            for i, env in fresh_net.agents.items():
-                dx, dv = env.get("aff")
+            for i in range(tree.q):
+                dx, dv = fresh_net.get(i, "aff")
                 assert np.allclose(sols[i][0][:, col], dx, atol=1e-9)
                 assert np.allclose(sols[i][1][:, col], dv, atol=1e-9)
 

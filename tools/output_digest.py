@@ -7,7 +7,7 @@ Run from the repository root::
 Each line is ``<label> <sha256>``.  A digest covers the trace CSV, ``x``,
 ``x_clique``, ``lam``, ``v``, the objective and status, the solve-phase
 ``accounting.json`` and the run log's ``deliver`` events (``read`` events
-are left out).  For ``solve_auto`` runs it also covers each component's
+have lines of their own).  For ``solve_auto`` runs it also covers each component's
 phase-one report.  The solves are:
 
 - ``flow/<s>``: the seven-agent two-chain supply instance of seeds 0-49
@@ -20,7 +20,10 @@ phase-one report.  The solves are:
   that end ``max_iters``, 390 and 454;
 - ``replay/<s>``: the ``repr`` of the ``(distributed, centralized)`` step
   pairs that ``oracle.same_iterate_steps`` returns along the ``flow/<s>``
-  solve, seeds 0-9.
+  solve, seeds 0-9;
+- ``reads/<s>``: every ``read`` event of the ``flow/<s>`` run log, in
+  order, seeds 0-9, so that two checkouts with equal lines logged the same
+  whole run log.
 
 Two checkouts whose solver arithmetic agrees bit for bit print the same
 file, so ``diff`` of two runs is the byte-equality check.
@@ -74,7 +77,7 @@ def digest(res: ipm.SolveResult, extra: str = "") -> str:
 
 
 def main() -> int:
-    replays = []
+    replays, reads = [], []
     for s in range(50):
         p, x0 = model.gen_flow(TWO_CHAIN, seed=s)
         res = ipm.solve(p, x0=x0)
@@ -82,6 +85,8 @@ def main() -> int:
         if s < 10:
             pairs = oracle.same_iterate_steps(p, ipm.SolverParams(), x0, res.iterations, res.setup.tree)
             replays.append(hashlib.sha256(repr(pairs).encode()).hexdigest())
+            logged = [json.dumps(e) for e in res.network.events if e["type"] == "read"]
+            reads.append(hashlib.sha256("\n".join(logged).encode()).hexdigest())
     p, x0 = model.gen_flow(
         model.balanced_tree(8, 2),
         params=model.sample_flow_params(511, np.random.default_rng(0)),
@@ -97,6 +102,8 @@ def main() -> int:
             print(f"loose/{s}/{c}", digest(run.result, repr(run.phase_one)), flush=True)
     for s, h in enumerate(replays):
         print(f"replay/{s}", h, flush=True)
+    for s, h in enumerate(reads):
+        print(f"reads/{s}", h, flush=True)
     return 0
 
 
