@@ -29,9 +29,10 @@ Before passes 1, 3, 5 and each 7, a local step
 (:meth:`netsim.Network.run_local`) does every agent's own arithmetic, one
 kernel call per :class:`model.ShapeGroup`, whose fields hold the members'
 iterates as arrays with one row each.  A pass calls each handler once per
-:class:`model.Unit`: members of one group and tree level, which eliminate
-one by one and fold the children's payloads into the same sums, in the
-same order, as each would alone.
+:class:`model.Unit`: members of one group and tree level, whose arithmetic
+runs stacked over them but for the solves with each one's pivot block,
+and who fold the children's payloads into the same sums, in the same
+order, as each would alone.
 
 The decrease test compares a candidate's residuals with those of the
 current iterate.  The root keeps them from the pass that accepted the
@@ -231,9 +232,8 @@ def group_cliques(
 ) -> None:
     """Check each clique's final equality block ``local_eq[i] = (A, b)`` for
     rank, in pass order, and set ``net``'s groups by
-    :func:`model.shape_groups` of the clique layouts ``layouts[i]``, with
-    each member's :func:`treeqp.equality_parts` and a zero
-    ``kkt = (H, r, beta)`` field.
+    :func:`model.shape_groups` of the clique layouts ``layouts[i]``, with a
+    zero ``kkt = (H, r, beta)`` field.
 
     Every tree QP runs from here: write each clique's piece into its rows
     of ``kkt``, then run the ``qp-message`` pass with :func:`_dir_up` and
@@ -242,11 +242,7 @@ def group_cliques(
     for level in reversed(net.levels):
         for i in level:
             treeqp.check_equality_rank(local_eq[i][0][:, layouts[i].zpos], i)
-    groups = model.shape_groups(
-        (i, lay, *local_eq[i], treeqp.equality_parts(lay, local_eq[i][0]))
-        for i, lay in enumerate(layouts)
-    )
-    net.set_groups(groups)
+    net.set_groups(model.shape_groups((i, lay, *local_eq[i]) for i, lay in enumerate(layouts)))
     for members in net.groups:
         B, rows, d = members.group.eq_A.shape
         members.put("kkt", (np.zeros((B, d, d)), np.zeros((B, d)), np.zeros((B, rows))))
@@ -524,11 +520,11 @@ def _residual_up(watched: bool, unit: netsim.Members, inboxes: list) -> list[dic
     grp = unit.group
     refused = {"ok": False, "p": 0.0, "d": 0.0, "push": None, "eta": 0.0}
     ok, W, P, ETA = unit.get("own")
-    ok, sums = ok.tolist(), [(0.0, 0.0, 0.0)] * len(ok)
-    for pos, pays in zip(unit.spec.child_pos, zip(*inboxes)):
+    ok, sums, flat_W = ok.tolist(), [(0.0, 0.0, 0.0)] * len(ok), W.reshape(-1)
+    for (ix, _), pays in zip(unit.spec.child_ix, zip(*inboxes)):
         ok = [good and q["ok"] for good, q in zip(ok, pays)]
         sums = [(p + q["p"], d + q["d"], eta + q["eta"]) for (p, d, eta), q in zip(sums, pays)]
-        W[:, pos] += np.array([q["push"] for q in pays])
+        flat_W[ix] += _stacked(pays, "push").ravel()
     own: Iterable = [None] * len(ok)
     if any(ok):
         own_w = W.take(grp.zpos, axis=1)
@@ -552,21 +548,13 @@ def _residual_up(watched: bool, unit: netsim.Members, inboxes: list) -> list[dic
 
 
 def _dir_up(unit: netsim.Members, inboxes: list) -> list:
-    """Each member eliminates its clique; the pivot solves are kept stacked
-    and the factors as an object array, one entry per member."""
-    grp, rows = unit.group, unit.spec.rows
-    H, R, BETA = unit.get("kkt")
-    msgs, sols = [], []
-    factors = np.empty(len(unit.ids), dtype=object)
-    members = zip(grp.lays[rows], grp.eq[rows], unit.kids, inboxes)
-    for b, (lay, eq, kids, inbox) in enumerate(members):
-        kid_msgs = list(zip(kids, inbox))
-        msg, sol, factors[b] = treeqp.eliminate(lay, H[b], R[b], BETA[b], eq, kid_msgs)
-        msgs.append(msg)
-        sols.append(sol)
+    """The unit's eliminations; keeps their pivot solves ``solT`` and factors ``factor``."""
+    msgs, solT, factors = treeqp.eliminate_unit(
+        unit.group, unit.spec, unit.ids, *unit.get("kkt"), list(zip(*inboxes))
+    )
     unit.count_factorizations()
     unit.put("factor", factors)
-    unit.put("solT", treeqp.stack_solutions(sols))
+    unit.put("solT", solT)
     return msgs
 
 
@@ -582,10 +570,10 @@ def _corr_up(unit: netsim.Members, inboxes: list) -> list[dict]:
     grp = unit.group
     amax_own, own_gaps, R, _ = unit.get("pred")
     amax, gap, child_q = [1.0] * len(amax_own), np.zeros((len(amax_own), 4)), []
-    for pos, pays in zip(unit.spec.child_pos, zip(*inboxes)):
+    for (ix, _), pays in zip(unit.spec.child_ix, zip(*inboxes)):
         amax = [min(a, q["alpha"]) for a, q in zip(amax, pays)]
         gap += _stacked(pays, "gap")
-        child_q.append((pos, _stacked(pays, "msg")))
+        child_q.append((ix, _stacked(pays, "msg")))
     amax = [min(a, own) for a, own in zip(amax, amax_own.tolist())]
     for row in own_gaps:
         gap -= row

@@ -375,8 +375,7 @@ class CliqueLayout:
 
     ``zpos`` and ``ypos`` locate the eliminated and the separator variables
     in the clique, ``child_pos[c]`` the separator of child ``c``, in child
-    order; ``zz``, ``zy``, ``yy`` and ``child_ix[c]`` index the matching
-    blocks of the flattened clique matrix.
+    order.
     ``subs`` holds ``(k, sp, pos, ix, rows)`` for each subproblem on the
     clique: its scope positions, their ``np.ix_`` tuple and its stacked
     inequality rows.
@@ -389,11 +388,7 @@ class CliqueLayout:
     elim: IndexSet
     zpos: np.ndarray
     ypos: np.ndarray
-    zz: np.ndarray
-    zy: np.ndarray
-    yy: np.ndarray
     child_pos: dict[int, np.ndarray]
-    child_ix: dict[int, np.ndarray]
     subs: list[tuple[int, Subproblem, np.ndarray, tuple, InequalityRows]]
 
 
@@ -413,12 +408,7 @@ def clique_layout(
     for k, sp in agents:
         pos = positions(sp.J, clique)
         subs.append((k, sp, pos, np.ix_(pos, pos), stack_inequalities(sp)))
-    d = len(clique)
-    return CliqueLayout(
-        i, tree.depth[i], clique, sep, elim, zpos, ypos,
-        zpos[:, None] * d + zpos, zpos[:, None] * d + ypos, ypos[:, None] * d + ypos,
-        child_pos, {c: pos[:, None] * d + pos for c, pos in child_pos.items()}, subs,
-    )
+    return CliqueLayout(i, tree.depth[i], clique, sep, elim, zpos, ypos, child_pos, subs)
 
 
 # ------------------ shape groups ------------------
@@ -447,29 +437,37 @@ class SlotStack:
 
 class Unit(NamedTuple):
     """Rows of a :class:`ShapeGroup` on one tree level whose children's
-    separators sit at the same positions: they take part in a pass together."""
+    separators sit at the same positions: they take part in a pass together.
+    ``child_ix`` holds per child position the flat indices of its separator
+    in the unit's stacked clique vectors and matrices, ``blocks`` those of
+    the ``zz``, ``zy`` and ``yy`` blocks; ``seps`` holds the members'
+    separators, ``eq`` their equality rows over the separator and their
+    pivot blocks and right-hand sides with only the equality rows set."""
 
     depth: int
     rows: slice
     child_pos: tuple[np.ndarray, ...]
+    child_ix: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    seps: tuple[IndexSet, ...]
+    eq: tuple[np.ndarray, ...]
 
 
 @dataclass
 class ShapeGroup:
     """Cliques of one layout shape, their static data stacked on a leading
-    member axis; ``keys[b]`` lists member ``b``'s subproblems, ``lays[b]``
-    is its layout and ``eq[b]`` its :func:`treeipm.treeqp.equality_parts`."""
+    member axis; ``keys[b]`` lists member ``b``'s subproblems and ``lays[b]``
+    is its layout."""
 
     members: list[int]
     slots: list[SlotStack]
     keys: list[tuple[int, ...]]
     lays: list[CliqueLayout]
-    eq: list[tuple]
     eq_A: np.ndarray
     eq_b: np.ndarray
     zpos: np.ndarray
     ypos: np.ndarray
-    units: list[Unit]
+    units: list[Unit] = field(default_factory=list)
 
 
 def _stack_slot(subs: Sequence[tuple], size: int) -> SlotStack:
@@ -494,19 +492,29 @@ def _unit_key(lay: CliqueLayout) -> tuple:
     return lay.depth, tuple(pos.tobytes() for pos in lay.child_pos.values())
 
 
-def _units(lays: Sequence[CliqueLayout]) -> list[Unit]:
-    """The runs of ``lays`` of one :func:`_unit_key`."""
-    starts = [b for b in range(len(lays)) if b == 0 or _unit_key(lays[b]) != _unit_key(lays[b - 1])]
-    return [
-        Unit(lays[lo].depth, slice(lo, hi), tuple(lays[lo].child_pos.values()))
-        for lo, hi in zip(starts, starts[1:] + [len(lays)])
-    ]
+def pass_unit(grp: ShapeGroup, rows: slice) -> Unit:
+    """The :class:`Unit` of members ``rows`` of ``grp``, which share a
+    :func:`_unit_key`."""
+    lays, A, z, y = grp.lays[rows], grp.eq_A[rows], grp.zpos, grp.ypos
+    (B, p, d), nz, child_pos = A.shape, len(z), tuple(lays[0].child_pos.values())
+    mem = np.arange(B)[:, None, None]
+    pairs = [(z, z), (z, y), (y, y)] + [(pos, pos) for pos in child_pos]
+    zz, zy, yy, *kids = [(mem * d + a[:, None]) * d + b for a, b in pairs]
+    O, rhs = np.zeros((B, nz + p, nz + p)), np.zeros((B, nz + p, len(y) + 1))
+    O[:, nz:, :nz] = A[:, :, z]
+    O[:, :nz, nz:] = O[:, nz:, :nz].swapaxes(1, 2)
+    rhs[:, nz:, :-1] = -A[:, :, y]
+    return Unit(
+        lays[0].depth, rows, child_pos,
+        tuple(((mem[:, 0] * d + pos).ravel(), mat.ravel()) for pos, mat in zip(child_pos, kids)),
+        (zz, zy, yy), tuple(lay.sep for lay in lays), (A[:, :, y], O, rhs),
+    )
 
 
 def shape_groups(
-    blocks: Iterable[tuple[int, CliqueLayout, np.ndarray, np.ndarray, tuple]],
+    blocks: Iterable[tuple[int, CliqueLayout, np.ndarray, np.ndarray]],
 ) -> list[ShapeGroup]:
-    """Group ``(clique, layout, eq_A, eq_b, eq)`` in order of first appearance by
+    """Group ``(clique, layout, eq_A, eq_b)`` in order of first appearance by
     shape: clique size, eliminated and separator positions, equality-row
     count and, per hosted subproblem, scope positions, inequality count and
     quadratic rows (with whether each ``Q`` is nonzero); stack each group,
@@ -522,20 +530,21 @@ def shape_groups(
     groups = []
     for members in by_shape.values():
         members.sort(key=lambda block: _unit_key(block[1]))
-        ids, lays, As, bs, eqs = zip(*members)
-        size = len(lays[0].clique)
-        groups.append(ShapeGroup(
+        ids, lays, As, bs = zip(*members)
+        grp = ShapeGroup(
             list(ids),
-            [_stack_slot(subs, size) for subs in zip(*(lay.subs for lay in lays))],
+            [_stack_slot(subs, len(lays[0].clique)) for subs in zip(*(lay.subs for lay in lays))],
             [tuple(k for k, *_ in lay.subs) for lay in lays],
             list(lays),
-            list(eqs),
             np.array(As),
             np.array(bs),
             lays[0].zpos,
             lays[0].ypos,
-            _units(lays),
-        ))
+        )
+        keys = [_unit_key(lay) for lay in lays]
+        cuts = [b for b in range(1, len(keys)) if keys[b] != keys[b - 1]]
+        grp.units = [pass_unit(grp, slice(*run)) for run in zip([0] + cuts, cuts + [len(keys)])]
+        groups.append(grp)
     return groups
 
 

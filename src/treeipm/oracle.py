@@ -508,12 +508,12 @@ def block_ldl_check(
     ``data[i]`` is clique ``i``'s ``(H, r, A, beta)`` and ``messages[c]``
     the message child ``c`` sent.  Each clique's pivot block is rebuilt
     from its ``H`` and ``A`` with its children's messages folded in, in
-    child order, as :func:`treeqp.eliminate` builds it.  Assembles the
-    full KKT matrix of the tree QP, permutes it into per-clique blocks
-    (private variables then local multipliers, in elimination order) and
-    runs block Gaussian elimination with those pivot blocks.  Returns the
-    Frobenius mismatch between the eliminated matrix and the block
-    diagonal of the pivots, relative to the KKT matrix norm.
+    child order, as :func:`treeqp.eliminate_unit` builds it for each member
+    of a pass unit.  Assembles the full KKT matrix of the tree QP, permutes
+    it into per-clique blocks (private variables then local multipliers, in
+    elimination order) and runs block Gaussian elimination with those pivot
+    blocks.  Returns the Frobenius mismatch between the eliminated matrix
+    and the block diagonal of the pivots, relative to the KKT matrix norm.
     """
     order = tree.post_order()
     # per clique, in elimination order: its private variables, then its rows
@@ -529,8 +529,8 @@ def block_ldl_check(
         H = H.copy()
         for c in tree.children[i]:
             H[np.ix_(lay.child_pos[c], lay.child_pos[c])] += messages[c].Q
-        _, pivots[i], _ = treeqp.equality_parts(lay, A)
-        pivots[i][: len(lay.zpos), : len(lay.zpos)] = H[np.ix_(lay.zpos, lay.zpos)]
+        Az = A[:, lay.zpos]
+        pivots[i] = np.block([[H[np.ix_(lay.zpos, lay.zpos)], Az.T], [Az, np.zeros((len(A),) * 2)]])
     if len(col_of_var) != n:
         raise EliminationError("private variable sets do not cover all variables")
 

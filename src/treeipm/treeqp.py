@@ -1,32 +1,34 @@
-"""Per-clique kernels of quadratic message passing over a rooted clique tree.
+"""Kernels of quadratic message passing over a rooted clique tree.
 
 Each clique holds an equality-constrained quadratic piece
 
     min 0.5 d' H d + r' d   subject to   A d = beta
 
 over its variables.  On the upward pass each clique folds in its
-children's messages and, with :func:`eliminate`, eliminates the variables
-absent from its parent together with the local multipliers; it sends the
-parent the resulting parametric minimum, a quadratic in the separator
-variables.  On the downward pass :func:`recover_clique` recovers the
-minimiser by back-substitution.  The whole procedure is a block LDL'
-factorization of the assembled KKT matrix with a fixed, tree-structured
-pivot order.  The passes themselves are the solver's ``qp-message`` and
-``separator-solution`` handlers (:mod:`treeipm.ipm`), run on the simulated
-network; :func:`treeipm.oracle.block_ldl_check` checks them densely.
+children's messages, eliminates the variables absent from its parent
+together with the local multipliers and sends the parent the resulting
+parametric minimum, a quadratic in the separator variables: all once per
+pass unit, on arrays stacked over its members (:func:`eliminate_unit`),
+but the pivot solve, once per clique (:func:`eliminate`).  On the
+downward pass :func:`recover_clique` recovers the minimiser by
+back-substitution.  The whole procedure is a block LDL' factorization of
+the assembled KKT matrix with a fixed, tree-structured pivot order.  The
+passes are the solver's ``qp-message`` and ``separator-solution``
+handlers (:mod:`treeipm.ipm`), run on the simulated network;
+:func:`treeipm.oracle.block_ldl_check` checks them densely.
 
 Each clique keeps the factors of its pivot block, so a further system with
 the same matrix and new linear terms needs no factorization: an upward
 sweep of :func:`eliminate_rhs` and a downward sweep of
-:func:`recover_clique` with the offsets it returned.  Every function reads
-the clique's index data from its :class:`~treeipm.model.CliqueLayout`,
-built once per tree; the equality rows' rank is checked once per clique by
-:func:`check_equality_rank`, before any elimination.
+:func:`recover_clique` with the offsets it returned.  The index data come
+from the shape groups and their units, built once per tree; the equality
+rows' rank is checked once per clique by :func:`check_equality_rank`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +37,7 @@ from scipy.linalg import lapack
 
 from treeipm.chordal import IndexSet
 from treeipm.errors import EliminationError
-from treeipm.model import CliqueLayout
+from treeipm.model import ShapeGroup, Unit
 
 EQ_RANK_TOL = 1e-10
 SOLVE_BACKWARD_TOL = 1e-8
@@ -54,18 +56,6 @@ def backward_ok(M: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> bool:
         return False
     scale = _norm(M) * _norm(sol) + _norm(rhs) + 1.0
     return _norm(M @ sol - rhs) <= SOLVE_BACKWARD_TOL * scale
-
-
-def equality_parts(lay: CliqueLayout, A: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(Ay, O, rhs)``: the rows over the separator, and the pivot block and
-    right-hand side of :func:`eliminate` with only the ``A`` entries set."""
-    nz, ny, p = len(lay.zpos), len(lay.ypos), A.shape[0]
-    O = np.zeros((nz + p, nz + p))
-    O[nz:, :nz] = A[:, lay.zpos]
-    O[:nz, nz:] = O[nz:, :nz].T
-    rhs = np.zeros((nz + p, ny + 1))
-    rhs[nz:, :ny] = -A[:, lay.ypos]
-    return A[:, lay.ypos], O, rhs
 
 
 @dataclass
@@ -112,97 +102,108 @@ def check_equality_rank(A_z: np.ndarray, clique_index: int) -> None:
 
 
 def eliminate(
-    lay: CliqueLayout,
-    H: np.ndarray,
-    r: np.ndarray,
-    beta: np.ndarray,
-    eq: tuple[np.ndarray, ...],
-    child_msgs: list[tuple[int, QuadraticMessage]],
-) -> tuple[QuadraticMessage, np.ndarray, tuple[np.ndarray, np.ndarray] | np.ndarray | None]:
-    """Fold child messages into one clique's piece ``min 0.5 d'H d + r'd``
-    subject to ``A d = beta`` and eliminate its private part.
+    index: int, O: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | np.ndarray | None]:
+    """Solve clique ``index``'s pivot system ``O sol = rhs``; returns the
+    solve and the pivot block's factor: symmetric-indefinite ``(ldu, ipiv)``,
+    or the pseudo-inverse when symmetric pivoting failed the backward-error
+    check; ``None`` for an empty block."""
+    if not O.size:
+        return np.zeros(rhs.shape), None
+    ldu, ipiv, info = lapack.dsytrf(O)
+    factor = (ldu, ipiv)
+    sol = lapack.dsytrs(ldu, ipiv, rhs)[0] if info == 0 else None
+    if sol is None or not backward_ok(O, sol, rhs):
+        # extreme barrier weights can defeat the symmetric pivoting even
+        # though the system is consistent; retry with the least-squares
+        # solution before declaring the block singular, under the same
+        # backward-error contract
+        try:
+            factor = np.linalg.pinv(O)
+            retry = factor @ rhs
+        except np.linalg.LinAlgError:
+            retry = None
+        if retry is not None and backward_ok(O, retry, rhs):
+            sol = retry
+        elif sol is None:
+            raise EliminationError(
+                f"clique {index}: singular elimination block; "
+                "positive definiteness on the equality nullspace is violated"
+            )
+        else:
+            resid = np.linalg.norm(O @ sol - rhs)
+            raise EliminationError(
+                f"clique {index}: elimination solve failed its "
+                f"backward error check ({resid:.3e}); the block is "
+                "numerically singular"
+            )
+    return sol, factor
 
-    ``eq`` is :func:`equality_parts` of ``A``; ``child_msgs`` holds
-    ``(child, message)`` pairs.  Returns the message for the parent, the
-    pivot solve ``sol = [H1 h1; H2 h2]`` for the separator columns and the
-    constant column, from which :func:`recover_clique` recovers the local
-    minimiser once the separator values arrive, and the pivot block's
-    factor: symmetric-indefinite ``(ldu, ipiv)``, or the pseudo-inverse
-    when symmetric pivoting failed the backward-error check; ``None`` for
-    an empty block.
-    """
-    c = 0.0
-    if child_msgs:  # the children's terms are added in place
-        H = H.copy()
-        r = r.copy()
-        flat = H.ravel()
-    for child, msg in child_msgs:
-        flat[lay.child_ix[child]] += msg.Q
-        r[lay.child_pos[child]] += msg.q
-        c += msg.c
 
-    Ay, O, rhs = eq
-    nz, ny = len(lay.zpos), len(lay.ypos)
-    Qzz = H.take(lay.zz)
-    Qzy = H.take(lay.zy)
-    Qyy = H.take(lay.yy)
-    qz = r[lay.zpos]
-    qy = r[lay.ypos]
+def _child_terms(msgs: Sequence[QuadraticMessage]) -> tuple:
+    """The members' ``Q`` and ``q`` at one child position, each raveled one
+    after the other (a lone one viewed), and their ``c``."""
+    if len(msgs) == 1:
+        return msgs[0].Q.ravel(), msgs[0].q, (msgs[0].c,)
+    Q, q, c = zip(*((msg.Q, msg.q, msg.c) for msg in msgs))
+    return np.array(Q).ravel(), np.array(q).ravel(), c
 
-    O = O.copy()
-    O[:nz, :nz] = Qzz
 
-    if O.size:
-        rhs = rhs.copy()
-        rhs[:nz, :ny] = -Qzy
-        rhs[:nz, ny] = -qz
-        rhs[nz:, ny] = beta
+def eliminate_unit(
+    grp: ShapeGroup, unit: Unit, ids: Sequence[int], H: np.ndarray, r: np.ndarray,
+    beta: np.ndarray, child_msgs: Sequence[Sequence[QuadraticMessage]],
+) -> tuple[list[QuadraticMessage], np.ndarray, np.ndarray]:
+    """Fold the children's messages (``child_msgs[k]``: the members' at child
+    position ``k``) into the pieces ``min 0.5 d'H d + r'd`` subject to
+    ``A d = beta`` of the cliques ``ids``, the members of ``unit`` in
+    ``grp``, and eliminate their private parts.  Returns the messages for
+    the parents, the pivot solves ``sol = [H1 h1; H2 h2]`` (separator
+    columns, then the constant) as :func:`stack_solutions`, from which
+    :func:`recover_clique` recovers the minimisers, and the factors."""
+    (B, p), nz, ny = beta.shape, len(grp.zpos), len(grp.ypos)
+    c = [0.0] * B
+    if child_msgs:  # the children's terms are added to copies, child by child
+        H, r = H.copy(), r.copy()
+        flat_H, flat_r = H.reshape(-1), r.reshape(-1)
+        for (vec, mat), msgs in zip(unit.child_ix, child_msgs):
+            Q, q, c_child = _child_terms(msgs)
+            flat_H[mat] += Q
+            flat_r[vec] += q
+            c = list(map(operator.add, c, c_child))
 
-        ldu, ipiv, info = lapack.dsytrf(O)
-        factor = (ldu, ipiv)
-        sol = lapack.dsytrs(ldu, ipiv, rhs)[0] if info == 0 else None
-        if sol is None or not backward_ok(O, sol, rhs):
-            # extreme barrier weights can defeat the symmetric pivoting even
-            # though the system is consistent; retry with the least-squares
-            # solution before declaring the block singular, under the same
-            # backward-error contract
-            try:
-                factor = np.linalg.pinv(O)
-                retry = factor @ rhs
-            except np.linalg.LinAlgError:
-                retry = None
-            if retry is not None and backward_ok(O, retry, rhs):
-                sol = retry
-            elif sol is None:
-                raise EliminationError(
-                    f"clique {lay.index}: singular elimination block; "
-                    "positive definiteness on the equality nullspace is violated"
-                )
-            else:
-                resid = np.linalg.norm(O @ sol - rhs)
-                raise EliminationError(
-                    f"clique {lay.index}: elimination solve failed its "
-                    f"backward error check ({resid:.3e}); the block is "
-                    "numerically singular"
-                )
-    else:
-        factor = None
-        sol = np.zeros((0, ny + 1))
+    Qzz, Qzy, Qyy = map(H.take, unit.blocks)
+    qz, qy = r.take(grp.zpos, axis=1), r.take(grp.ypos, axis=1)
+    Ay, O, rhs = unit.eq
+    O = O.copy() if p else Qzz  # without equality rows the pivot block is Qzz
+    rhs = rhs.copy()
+    rhs[:, :nz, :ny] = -Qzy
+    rhs[:, :nz, ny] = -qz
+    if p:
+        O[:, :nz, :nz] = Qzz
+        rhs[:, nz:, ny] = beta
 
-    H1 = sol[:nz, :ny]
-    H2 = sol[nz:, :ny]
-    h1 = sol[:nz, ny]
+    sols, factors = [], np.empty(B, dtype=object)
+    for b, i in enumerate(ids):
+        sol, factors[b] = eliminate(i, O[b], rhs[b])
+        sols.append(sol)
+    solT = stack_solutions(sols)
+    H1T, h1 = solT[:, :ny, :nz], solT[:, ny, :nz]
 
     # Schur complement of the pivot block: with Qzz H1 + Az' H2 = -Qzy,
     # Az H1 = -Ay and Az h1 = beta, the value of the parametric minimum
     # reduces to these terms, free of the cancellation between H1'Qzz H1
-    # and H1'Qzy that large barrier weights in Qzz bring
-    Qt = Qyy + Qzy.T @ H1 + Ay.T @ H2
-    Qt = 0.5 * (Qt + Qt.T)
-    qt = qy + H1.T @ qz - H2.T @ beta
-    ct = c + 0.5 * h1 @ Qzz @ h1 + qz @ h1
-
-    return QuadraticMessage(lay.sep, Qt, qt, float(ct)), sol, factor
+    # and H1'Qzy that large barrier weights in Qzz bring; without equality
+    # rows the Az terms are +0.0, and no product is -0.0, so they are left out
+    Qt = Qzy.swapaxes(1, 2) @ H1T.swapaxes(1, 2) + Qyy
+    qt = np.matvec(H1T, qz) + qy
+    if p:
+        H2T = solT[:, :ny, nz:]
+        Qt += Ay.swapaxes(1, 2) @ H2T.swapaxes(1, 2)
+        qt -= np.matvec(H2T, beta)
+    Qt = 0.5 * (Qt + Qt.swapaxes(1, 2))
+    curv = np.vecdot(np.vecmat(0.5 * h1, Qzz), h1).tolist()
+    ct = [(a + e) + f for a, e, f in zip(c, curv, np.vecdot(qz, h1).tolist())]  # c + curv + qz'h1
+    return list(map(QuadraticMessage, unit.seps, Qt, qt, ct)), solT, factors
 
 
 def eliminate_rhs(
@@ -212,15 +213,15 @@ def eliminate_rhs(
     """Eliminate cliques of equal ``zpos`` and ``ypos`` again for new linear
     terms ``r`` (one column per right-hand side, zero equality right-hand
     sides), solving with their ``factors``; ``solT`` is their records'
-    :func:`stack_solutions`, ``child_q`` holds ``(positions, q)`` per child
-    in child order.  Returns the parent messages' linear terms ``q`` (the
-    quadratic parts are unchanged) and the solves' :func:`stack_solutions`,
-    whose rows ``[:nz]`` and ``[nz:]`` are the ``(h1, h2)`` offsets of
-    :func:`recover_clique`.  Nothing is factorized."""
+    :func:`stack_solutions`, ``child_q`` holds ``(indices, q)`` per child
+    position, as the unit's ``child_ix``.  Returns the parent messages'
+    linear terms ``q`` (the quadratic parts are unchanged) and the solves'
+    :func:`stack_solutions`, whose rows ``[:nz]`` and ``[nz:]`` are the
+    ``(h1, h2)`` offsets of :func:`recover_clique`.  Nothing is factorized."""
     if child_q:  # the children's terms are added to a copy
         r = r.copy()
-    for pos, q in child_q:
-        r[:, pos] += q
+    for ix, q in child_q:
+        r.reshape(-1, r.shape[2])[ix] += q.reshape(len(ix), r.shape[2])
     nz = len(zpos)
     qz = r.take(zpos, axis=1)  # C-ordered, as a lone clique's
     rhs = np.zeros((len(r), solT.shape[2], r.shape[2]))

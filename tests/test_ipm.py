@@ -23,6 +23,7 @@ from conftest import (
     interior_duals,
     make_rooted_tree,
     random_loose_qp,
+    tree_qp_passes,
 )
 
 
@@ -468,7 +469,7 @@ def probe_kernel(setup, kernel):
     """``kernel``, checked against each member run as a group of one."""
     eq = setup.assignment.local_eq
     blocks = {
-        i: (i, lay, *eq[i], treeqp.equality_parts(lay, eq[i][0]))
+        i: (i, lay, *eq[i])
         for i, lay in enumerate(setup.layouts)
     }
 
@@ -499,7 +500,7 @@ def probe_handler(handler, down=False):
             row = unit.spec.rows.start + b
             fields.clear()
             fields.update(copy.deepcopy(before))
-            spec = unit.spec._replace(rows=slice(row, row + 1))
+            spec = model.pass_unit(unit.group, slice(row, row + 1))
             alone = handler(netsim.Members(unit.net, unit.group, fields, spec.rows, spec), inboxes[b : b + 1])
             got = [slot[b] for slot in out] if down else out[b]
             want = [slot[0] for slot in alone] if down else alone[0]
@@ -629,6 +630,41 @@ def test_loose_qp_units_give_each_member_what_it_gets_alone(monkeypatch):
         res = ipm.solve(both, TWO, start, tree=tree, record_log=False)
         assert not all(res.setup.assignment.phi.values())
         assert sizes[-3:] == [2, 2, 2]
+
+
+def test_unit_of_a_retry_and_a_factorization_gives_each_member_what_it_gets_alone(monkeypatch):
+    # two leaves of one shape on one level: the first one's eliminated
+    # variable is flat and free, so its pivot block fails dsytrf and takes
+    # the pseudo-inverse retry, while its neighbour factorizes
+    tree = make_rooted_tree([(0,), (0, 1), (0, 2)], [-1, 0, 0])
+    none = np.zeros((0, 2))
+    data = {
+        0: (np.eye(1), np.ones(1), np.zeros((0, 1)), np.zeros(0)),
+        1: (np.diag([1.0, 0.0]), np.zeros(2), none, np.zeros(0)),
+        2: (np.diag([1.0, 2.0]), np.array([0.0, 1.0]), none, np.zeros(0)),
+    }
+    monkeypatch.setattr(ipm, "_dir_up", probe_handler(ipm._dir_up))
+    net, _ = tree_qp_passes(tree, data)
+    (unit,) = net.units[1]
+    assert unit.ids == [1, 2]
+    pinv, factored = unit.get("factor")
+    assert isinstance(pinv, np.ndarray) and isinstance(factored, tuple) and len(factored) == 2
+
+
+def test_eliminate_runs_once_per_clique_and_iteration(monkeypatch):
+    # the benchmark's traced check counts calls of treeqp.eliminate, made
+    # through the module attribute, against cliques x iterations
+    calls = []
+    eliminate = treeqp.eliminate
+    monkeypatch.setattr(treeqp, "eliminate", lambda i, *args: calls.append(i) or eliminate(i, *args))
+    p, x0 = model.gen_flow(model.balanced_tree(4, 2), seed=0)
+    p_loose, x0_loose = random_loose_qp(np.random.default_rng(6), eq_redundancy=1, eq_at_interior=True)
+    both, start, tree = twins(p_loose, x0_loose)
+    for solve in (lambda: ipm.solve(p, x0=x0), lambda: ipm.solve(both, TWO, start, tree=tree)):
+        calls.clear()
+        res = solve()
+        assert max(len(unit.ids) for level in res.network.units for unit in level) > 1
+        assert sorted(calls) == sorted(list(range(res.setup.tree.q)) * res.iterations)
 
 
 def test_batched_reads_are_each_agents_own():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from treeipm import oracle, treeqp
+from treeipm import model, oracle, treeqp
 from treeipm.errors import EliminationError
 from treeipm.model import clique_layout
 
@@ -22,9 +22,24 @@ def layout(cliques, parents, i=1):
     return clique_layout(make_rooted_tree(cliques, parents), i)
 
 
+def group_of(lay, A, beta=None):
+    """The one-member shape group of the clique ``lay`` with equality rows ``A``."""
+    beta = np.zeros(len(A)) if beta is None else beta
+    (grp,) = model.shape_groups([(lay.index, lay, A, beta)])
+    return grp
+
+
 def eliminate_one(lay, H, r, A, beta, child_msgs=()):
-    """:func:`treeqp.eliminate` of the piece ``(H, r, A, beta)``."""
-    return treeqp.eliminate(lay, H, r, beta, treeqp.equality_parts(lay, A), list(child_msgs))
+    """:func:`treeqp.eliminate_unit` of the piece ``(H, r, A, beta)`` as a
+    stack of one, the messages of ``child_msgs`` in child order:
+    ``(message, sol, factor)``."""
+    grp, msgs = group_of(lay, A, beta), dict(child_msgs)
+    kids = [[msgs.pop(c)] for c in lay.child_pos]
+    assert not msgs
+    (msg,), solT, (factor,) = treeqp.eliminate_unit(
+        grp, grp.units[0], [lay.index], H[None], r[None], beta[None], kids
+    )
+    return msg, solT[0].T, factor
 
 
 def stacked(sol):
@@ -47,7 +62,8 @@ def recover_one(lay, solT, y, offsets=None):
 
 def rhs_one(lay, factor, solT, r, kids):
     """:func:`treeqp.eliminate_rhs` for one clique: ``(q, h1, h2)``."""
-    child_q = [(lay.child_pos[c], q[None]) for c, q in kids]
+    ix = group_of(lay, np.zeros((0, len(lay.clique)))).units[0].child_ix
+    child_q = [(vec, q[None]) for (vec, _), (c, q) in zip(ix, kids, strict=True)]
     q, hT = treeqp.eliminate_rhs(lay.zpos, lay.ypos, [factor], solT, r[None], child_q)
     h = hT[0].T
     return q[0], h[: len(lay.zpos)], h[len(lay.zpos) :]

@@ -12,7 +12,9 @@ the last JSON line of every run it prints, per end-to-end metric of
 ``BENCHMARK.json``: the median of each side, the parent's interquartile
 range, how many pairs the change wins and ties, and whether the change's
 median is worse than the parent's by more than the metric's bound.  It
-also prints failed / attempted solves per side.  Given one ref twice, it
+also prints failed / attempted solves per side.  A run that exits
+non-zero is listed with its side, pair and exit code and left out of the
+medians and of the pairs compared; the other runs go on.  Given one ref twice, it
 measures how far two runs of the same code spread on this host.  Progress
 goes to standard error; one workload takes about ten minutes.
 """
@@ -43,12 +45,16 @@ def export(ref: str, dest: Path) -> Path:
     return dest
 
 
-def run(checkout: Path, workload: str) -> dict:
-    """One benchmark run of ``checkout``: its last line of output, as JSON."""
+def run(checkout: Path, workload: str) -> dict | int:
+    """One benchmark run of ``checkout``: its last line of output, as JSON,
+    or its exit code if it failed."""
     done = subprocess.run(
         [sys.executable, *RUN, "--workload", workload],
-        cwd=checkout, check=True, capture_output=True, text=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if done.returncode:
+        print(done.stderr, file=sys.stderr, flush=True)
+        return done.returncode
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -56,27 +62,40 @@ def better(a: float, b: float, higher: bool) -> bool:
     return a > b if higher else a < b
 
 
-def report(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> None:
-    print(f"## {workload}: {PAIRS} pairs")
+def report(workload: str, metrics: list[dict], runs: dict[str, list[dict | int]]) -> None:
+    """The verdicts of one workload; ``runs[side][k]`` is pair ``k``'s run,
+    or the exit code of a failed one."""
+    ok = {side: [r for r in rs if isinstance(r, dict)] for side, rs in runs.items()}
+    pairs = [(b, n) for b, n in zip(runs["parent"], runs["change"])
+             if isinstance(b, dict) and isinstance(n, dict)]
+    print(f"## {workload}: {PAIRS} pairs, {len(pairs)} with both runs")
+    for side, rs in runs.items():
+        for k, r in enumerate(rs):
+            if not isinstance(r, dict):
+                print(f"FAILED RUN: {side} pair {k + 1} exit code {r}")
+    if not pairs:
+        print(flush=True)
+        return
     print(f"{'metric':18s} {'parent':>12s} {'change':>12s} {'parent IQR':>25s} "
           f"{'wins':>5s} {'ties':>5s}  verdict")
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
-        base = [r["metrics"][name]["value"] for r in runs["parent"]]
-        new = [r["metrics"][name]["value"] for r in runs["change"]]
-        q1, _, q3 = statistics.quantiles(base, n=4)
+        base = [r["metrics"][name]["value"] for r in ok["parent"]]
+        new = [r["metrics"][name]["value"] for r in ok["change"]]
+        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
         med_base, med_new = statistics.median(base), statistics.median(new)
-        wins = sum(better(n, b, higher) for b, n in zip(base, new))
-        ties = sum(n == b for b, n in zip(base, new))
+        values = [(b["metrics"][name]["value"], n["metrics"][name]["value"]) for b, n in pairs]
+        wins = sum(better(n, b, higher) for b, n in values)
+        ties = sum(n == b for b, n in values)
         limit = med_base * (1 - m["bound"] if higher else 1 + m["bound"])
         worse = better(limit, med_new, higher)
         verdict = f"WORSE than the {m['bound']:.0%} bound" if worse else "within bound"
         print(f"{name:18s} {med_base:12.6g} {med_new:12.6g} {f'{q1:.6g}-{q3:.6g}':>25s} "
               f"{wins:5d} {ties:5d}  {verdict}")
     for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        wrong = sum(not r["correct"] for r in runs[side])
+        failed = sum(r["failed"] for r in ok[side])
+        attempted = sum(r["attempted"] for r in ok[side])
+        wrong = sum(not r["correct"] for r in ok[side])
         print(f"{side}: failed/attempted {failed}/{attempted}, runs reporting a problem {wrong}")
     print(flush=True)
 
@@ -93,7 +112,7 @@ def main(argv: list[str]) -> int:
         }
         print(f"# parent {argv[0]}, change {argv[1]}", flush=True)
         for wl in declared["workloads"]:
-            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            runs: dict[str, list[dict | int]] = {"parent": [], "change": []}
             for k in range(PAIRS):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
